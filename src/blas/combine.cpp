@@ -151,38 +151,27 @@ void linear_combination_streaming(std::span<const Scaled<T>> terms, MatrixView<T
 
 namespace {
 
-/// Tile-blocked transposed gather: inside a kTile x kTile tile both Y rows and
-/// the transposed input's rows fit in cache, so the strided reads stay
-/// cache-line coherent. First term writes, the rest accumulate.
+/// Tile-blocked transposed combine: each kTile x kTile tile of Y is combined
+/// in the inputs' stored orientation by the plain row kernel (stored rows
+/// stream at unit stride, and every element rounds exactly as the plain
+/// combine rounds it), then written to Y transposed from the L1-resident tile.
 template <class T>
 void transposed_rows(std::span<const Scaled<T>> terms, MatrixView<T> y, index_t row0,
                      index_t row1) {
   constexpr index_t kTile = 32;
-  const index_t cols = y.cols;
+  alignas(64) T tile[kTile * kTile];
+  std::vector<Scaled<T>> blocks(terms.begin(), terms.end());
   for (index_t i0 = row0; i0 < row1; i0 += kTile) {
-    const index_t i1 = std::min(i0 + kTile, row1);
-    for (index_t j0 = 0; j0 < cols; j0 += kTile) {
-      const index_t j1 = std::min(j0 + kTile, cols);
-      if (terms.empty()) {
-        for (index_t i = i0; i < i1; ++i) {
-          T* out = &y(i, 0);
-          for (index_t j = j0; j < j1; ++j) out[j] = T{0};
-        }
-        continue;
+    const index_t ni = std::min(kTile, row1 - i0);
+    for (index_t j0 = 0; j0 < y.cols; j0 += kTile) {
+      const index_t nj = std::min(kTile, y.cols - j0);
+      for (std::size_t t = 0; t < terms.size(); ++t) {
+        blocks[t].view = terms[t].view.block(j0, i0, nj, ni);
       }
-      const T c0 = terms[0].coeff;
-      for (index_t i = i0; i < i1; ++i) {
-        T* out = &y(i, 0);
-        const auto& x0 = terms[0].view;
-        for (index_t j = j0; j < j1; ++j) out[j] = c0 * x0(j, i);
-      }
-      for (std::size_t t = 1; t < terms.size(); ++t) {
-        const T ct = terms[t].coeff;
-        const auto& xt = terms[t].view;
-        for (index_t i = i0; i < i1; ++i) {
-          T* out = &y(i, 0);
-          for (index_t j = j0; j < j1; ++j) out[j] += ct * xt(j, i);
-        }
+      combine_rows<T>(blocks, MatrixView<T>(tile, nj, ni, kTile), 0, nj);
+      for (index_t i = 0; i < ni; ++i) {
+        T* out = &y(i0 + i, j0);
+        for (index_t j = 0; j < nj; ++j) out[j] = tile[j * kTile + i];
       }
     }
   }

@@ -40,8 +40,10 @@ void linear_combination_streaming(std::span<const Scaled<T>> terms, MatrixView<T
 /// Y = sum of terms where every term's view is stored TRANSPOSED:
 /// y(i, j) = sum_t coeff[t] * view_t(j, i). All views must have Y's shape
 /// transposed. Used by the APA executor's combine stage when the operand
-/// blocks flow through the recursion as zero-copy transposed views; the
-/// gather is tile-blocked so both Y and the inputs stream cache-line-coherently.
+/// blocks flow through the recursion as zero-copy transposed views. Each tile
+/// is combined in the stored orientation by the same kernel as
+/// linear_combination, so the result is bit-identical to linear_combination
+/// over materialized transposes.
 template <class T>
 void linear_combination_transposed(std::span<const Scaled<T>> terms, MatrixView<T> y,
                                    int num_threads = 1);

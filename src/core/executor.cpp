@@ -8,11 +8,9 @@
 #include "blas/combine.h"
 #include "blas/gemm.h"
 #include "blas/plan.h"
-#include "blas/transpose.h"
 #include "core/params.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/aligned.h"
 #include "support/pool.h"
 
 namespace apa::core {
@@ -260,54 +258,49 @@ template <class T>
 void run_chain(Levels levels, Operand<T> a, Operand<T> b, MatrixView<T> c,
                Strategy strategy, int num_threads) {
   APA_CHECK(a.cols() == b.rows() && c.rows == a.rows() && c.cols == b.cols());
-  const auto fallback_gemm = [&] {
-    blas::gemm_planned<T>(a.trans_flag(), a.view, nullptr, b.trans_flag(), b.view,
-                          nullptr, c, T{1}, T{0}, {}, num_threads);
+  const auto gemm = [num_threads](Operand<T> x, Operand<T> y, MatrixView<T> out,
+                                  T beta) {
+    blas::gemm_planned<T>(x.trans_flag(), x.view, nullptr, y.trans_flag(), y.view,
+                          nullptr, out, T{1}, beta, {}, num_threads);
   };
   if (levels.empty()) {
-    fallback_gemm();
+    gemm(a, b, c, T{0});
     return;
   }
   const EvaluatedRule& rule = *levels.front();
+  const index_t m = a.rows(), k = a.cols(), n = b.cols();
 
   // Dimensions too small to split: skip this level (and any further ones).
-  if (a.rows() < rule.m || a.cols() < rule.k || b.cols() < rule.n) {
-    fallback_gemm();
+  if (m < rule.m || k < rule.k || n < rule.n) {
+    gemm(a, b, c, T{0});
     return;
   }
 
-  // Dynamic padding: round each dimension up to a block multiple, run on the
-  // padded copies, then crop. Padding is per level; deeper levels pad their
-  // own (smaller) operands as needed. Transposed operands resolve here via a
-  // blocked transpose into the padded buffer.
-  if (a.rows() % rule.m != 0 || a.cols() % rule.k != 0 || b.cols() % rule.n != 0) {
-    APA_TRACE_SCOPE("core.pad");
-    APA_COUNTER_INC("core.pad.levels");
-    const index_t pm = (a.rows() + rule.m - 1) / rule.m * rule.m;
-    const index_t pk = (a.cols() + rule.k - 1) / rule.k * rule.k;
-    const index_t pn = (b.cols() + rule.n - 1) / rule.n * rule.n;
-    PooledMatrix<T> a_pad(pm, pk), b_pad(pk, pn), c_pad(pm, pn);
-    a_pad.set_zero();
-    b_pad.set_zero();
-    if (a.trans) {
-      blas::transpose<T>(a.view, a_pad.view().block(0, 0, a.rows(), a.cols()));
-    } else {
-      copy(a.view, a_pad.view().block(0, 0, a.rows(), a.cols()));
-    }
-    if (b.trans) {
-      blas::transpose<T>(b.view, b_pad.view().block(0, 0, b.rows(), b.cols()));
-    } else {
-      copy(b.view, b_pad.view().block(0, 0, b.rows(), b.cols()));
-    }
-    run_chain<T>(levels, Operand<T>{a_pad.view().as_const(), false},
-                 Operand<T>{b_pad.view().as_const(), false}, c_pad.view(), strategy,
-                 num_threads);
-    copy(c_pad.view().block(0, 0, c.rows, c.cols).as_const(), c);
-    return;
-  }
+  // Dynamic peeling (Benson & Ballard, PPoPP'15): the rule runs on the largest
+  // block-divisible core, as zero-copy views of the operands (transposed ones
+  // included); thin classical gemms then finish the fringe. Peeling is per
+  // level; deeper levels peel their own (smaller) operands as needed.
+  const index_t m0 = m / rule.m * rule.m;
+  const index_t k0 = k / rule.k * rule.k;
+  const index_t n0 = n / rule.n * rule.n;
+  LevelRunner<T>(levels, a.block(0, 0, m0, k0), b.block(0, 0, k0, n0),
+                 c.block(0, 0, m0, n0), strategy, num_threads)
+      .run();
+  if (m0 == m && k0 == k && n0 == n) return;
 
-  LevelRunner<T> runner(levels, a, b, c, strategy, num_threads);
-  runner.run();
+  APA_TRACE_SCOPE("core.pad");
+  APA_COUNTER_INC("core.pad.levels");
+  if (k0 < k) {  // C[:m0, :n0] += A[:m0, k0:] B[k0:, :n0]
+    gemm(a.block(0, k0, m0, k - k0), b.block(k0, 0, k - k0, n0), c.block(0, 0, m0, n0),
+         T{1});
+  }
+  if (n0 < n) {  // C[:m0, n0:] = A[:m0, :] B[:, n0:]
+    gemm(a.block(0, 0, m0, k), b.block(0, n0, k, n - n0), c.block(0, n0, m0, n - n0),
+         T{0});
+  }
+  if (m0 < m) {  // C[m0:, :] = A[m0:, :] B
+    gemm(a.block(m0, 0, m - m0, k), b, c.block(m0, 0, m - m0, n), T{0});
+  }
 }
 
 }  // namespace

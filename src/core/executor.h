@@ -14,7 +14,9 @@
 //                 p threads computes q products with single-threaded gemm,
 //                 then the rem remainder products run with all-thread gemm.
 //
-// Non-divisible dimensions are handled by dynamic padding at each level.
+// Non-divisible dimensions are handled by dynamic peeling at each level: the
+// rule runs on the largest block-divisible core (zero-copy views), and thin
+// classical gemms finish the fringe rows, columns and k-slices.
 
 #include <span>
 
@@ -55,7 +57,7 @@ void multiply(const EvaluatedRule& rule, MatrixView<const T> a, MatrixView<const
 /// Non-stationary (uniform) recursion, paper section 6: level i of the
 /// recursion applies levels[i]; sub-multiplications below the last level fall
 /// back to gemm. Rules may have different dimensions — e.g. one <4,4,4> step
-/// followed by one <3,2,2> step handles 12*2^a x 8*2^b shapes without padding.
+/// followed by one <3,2,2> step handles 12*2^a x 8*2^b shapes without peeling.
 /// phi accumulates additively across levels, so lambda for each rule should be
 /// chosen with the full chain length in mind (analyze + optimal_lambda).
 template <class T>

@@ -1,5 +1,6 @@
 #include "core/guard.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -8,31 +9,28 @@
 namespace apa::core {
 namespace {
 
-// The verify kernels walk "rows" of op(M) for a stored row-major M: unit
-// stride when M is untransposed, ld-stride otherwise. Templating on the
-// stride keeps the hot untransposed path a contiguous stream, and the
+// The verify kernels read only stored rows, at unit stride. An untransposed
+// operand is walked row by row as dot products; a transposed one as
+// row-scaled accumulations (stored row t of M is column t of op(M), so
+// op(M)·w = sum_t w_t * row_t), so neither layout strides down columns. The
 // `omp simd` reductions give the compiler license to reassociate (and so
 // vectorize) the accumulations without -ffast-math. Any reassociation error
 // is O(k u) per row, far inside the guard's accumulation-floor tolerance.
 
-template <bool kUnitStride>
-inline double dot(const float* x, index_t stride, const double* w, index_t n) {
+inline double dot(const float* x, const double* w, index_t n) {
   double acc = 0;
 #pragma omp simd reduction(+ : acc)
-  for (index_t j = 0; j < n; ++j) {
-    acc += static_cast<double>(x[kUnitStride ? j : j * stride]) * w[j];
-  }
+  for (index_t j = 0; j < n; ++j) acc += static_cast<double>(x[j]) * w[j];
   return acc;
 }
 
 // One pass over a row producing both sum_j |x_j| and sum_j x_j w_j.
-template <bool kUnitStride>
-inline void abs_and_dot(const float* x, index_t stride, const double* w,
-                        index_t n, double& abs_out, double& dot_out) {
+inline void abs_and_dot(const float* x, const double* w, index_t n, double& abs_out,
+                        double& dot_out) {
   double abs_acc = 0, dot_acc = 0;
 #pragma omp simd reduction(+ : abs_acc, dot_acc)
   for (index_t j = 0; j < n; ++j) {
-    const double v = static_cast<double>(x[kUnitStride ? j : j * stride]);
+    const double v = static_cast<double>(x[j]);
     abs_acc += std::abs(v);
     dot_acc += v * w[j];
   }
@@ -41,19 +39,59 @@ inline void abs_and_dot(const float* x, index_t stride, const double* w,
 }
 
 // One pass producing both sum_j |x_j| wa_j and sum_j x_j wd_j.
-template <bool kUnitStride>
-inline void weighted_abs_and_dot(const float* x, index_t stride,
-                                 const double* w_abs, const double* w_dot,
-                                 index_t n, double& abs_out, double& dot_out) {
+inline void weighted_abs_and_dot(const float* x, const double* w_abs,
+                                 const double* w_dot, index_t n, double& abs_out,
+                                 double& dot_out) {
   double abs_acc = 0, dot_acc = 0;
 #pragma omp simd reduction(+ : abs_acc, dot_acc)
   for (index_t j = 0; j < n; ++j) {
-    const double v = static_cast<double>(x[kUnitStride ? j : j * stride]);
+    const double v = static_cast<double>(x[j]);
     abs_acc += std::abs(v) * w_abs[j];
     dot_acc += v * w_dot[j];
   }
   abs_out = abs_acc;
   dot_out = dot_acc;
+}
+
+// y_dot += s_dot * x, and y_abs += s_abs * |x| when y_abs is given.
+inline void scaled_accumulate(const float* x, double s_dot, double* y_dot,
+                              double s_abs, double* y_abs, index_t n) {
+  if (y_abs == nullptr) {
+#pragma omp simd
+    for (index_t j = 0; j < n; ++j) y_dot[j] += s_dot * static_cast<double>(x[j]);
+    return;
+  }
+#pragma omp simd
+  for (index_t j = 0; j < n; ++j) {
+    const double v = static_cast<double>(x[j]);
+    y_dot[j] += s_dot * v;
+    y_abs[j] += s_abs * std::abs(v);
+  }
+}
+
+/// out = op(M)·w for a stored row-major M and, when out_abs is given,
+/// out_abs = |op(M)|·w_abs (w_abs == nullptr weighs every |entry| by 1).
+void apply_op(MatrixView<const float> mat, bool trans, const double* w,
+              const double* w_abs, double* out, double* out_abs) {
+  if (!trans) {
+    for (index_t i = 0; i < mat.rows; ++i) {
+      const float* row = mat.data + i * mat.ld;
+      if (out_abs == nullptr) {
+        out[i] = dot(row, w, mat.cols);
+      } else if (w_abs == nullptr) {
+        abs_and_dot(row, w, mat.cols, out_abs[i], out[i]);
+      } else {
+        weighted_abs_and_dot(row, w_abs, w, mat.cols, out_abs[i], out[i]);
+      }
+    }
+    return;
+  }
+  std::fill(out, out + mat.cols, 0.0);
+  if (out_abs != nullptr) std::fill(out_abs, out_abs + mat.cols, 0.0);
+  for (index_t t = 0; t < mat.rows; ++t) {
+    scaled_accumulate(mat.data + t * mat.ld, w[t], out,
+                      w_abs != nullptr ? w_abs[t] : 1.0, out_abs, mat.cols);
+  }
 }
 
 }  // namespace
@@ -137,6 +175,7 @@ GuardReport ProductGuard::verify(MatrixView<const float> a,
   // carries residual proportional to the rest of the matrix — a per-row
   // scale would flag every honest sparse row. Probe-independent, so later
   // probes run dot-only passes against the cached tolerance.
+  std::vector<double> abr(static_cast<std::size_t>(m));
   std::vector<double> residual(static_cast<std::size_t>(m));
   double tolerance = 0;
   bool scale_ready = false;
@@ -145,39 +184,15 @@ GuardReport ProductGuard::verify(MatrixView<const float> a,
     // magnitude, so no error entry is attenuated out of the residual.
     for (auto& x : r) x = (rng.next_u64() & 1) ? 1.0 : -1.0;
 
-    for (index_t t = 0; t < k; ++t) {
-      const float* row = b.data + (transpose_b ? t : t * b.ld);
-      const auto ti = static_cast<std::size_t>(t);
-      if (!scale_ready) {
-        if (transpose_b) {
-          abs_and_dot<false>(row, b.ld, r.data(), n, abs_br[ti], br[ti]);
-        } else {
-          abs_and_dot<true>(row, 1, r.data(), n, abs_br[ti], br[ti]);
-        }
-      } else {
-        br[ti] = transpose_b ? dot<false>(row, b.ld, r.data(), n)
-                             : dot<true>(row, 1, r.data(), n);
-      }
-    }
-
+    // br = op(B)·r and abr = op(A)·br; the first probe also builds
+    // abs_br = |op(B)|·1 and scale = |op(A)|·abs_br.
+    apply_op(b, transpose_b, r.data(), nullptr, br.data(),
+             scale_ready ? nullptr : abs_br.data());
+    apply_op(a, transpose_a, br.data(), abs_br.data(), abr.data(),
+             scale_ready ? nullptr : scale.data());
     for (index_t i = 0; i < m; ++i) {
-      const float* row = a.data + (transpose_a ? i : i * a.ld);
       const auto ii = static_cast<std::size_t>(i);
-      double abr;
-      if (!scale_ready) {
-        if (transpose_a) {
-          weighted_abs_and_dot<false>(row, a.ld, abs_br.data(), br.data(), k,
-                                      scale[ii], abr);
-        } else {
-          weighted_abs_and_dot<true>(row, 1, abs_br.data(), br.data(), k,
-                                     scale[ii], abr);
-        }
-      } else {
-        abr = transpose_a ? dot<false>(row, a.ld, br.data(), k)
-                          : dot<true>(row, 1, br.data(), k);
-      }
-      const double cr = dot<true>(c.data + i * c.ld, 1, r.data(), n);
-      residual[ii] = std::abs(cr - abr);
+      residual[ii] = std::abs(dot(c.data + i * c.ld, r.data(), n) - abr[ii]);
     }
     if (!scale_ready) {
       double scale_max = 0;

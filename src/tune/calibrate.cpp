@@ -64,8 +64,9 @@ double CostCalibration::predict_classical_seconds(index_t m, index_t k,
 
 namespace {
 
-/// The executor pads non-divisible problems up to the rule's block grid, so
-/// predictions are made at the padded size the machine actually runs.
+/// The executor runs the rule on the block-divisible core and peels the
+/// remainder with thin classical gemms; predictions round each dimension up
+/// to the rule's block grid, which prices core plus fringe as one grid.
 index_t pad_to(index_t dim, int block) {
   return (dim + block - 1) / block * block;
 }

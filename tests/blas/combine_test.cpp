@@ -77,6 +77,44 @@ TEST(Combine, StreamingMatchesWriteOnce) {
   EXPECT_LT(max_abs_diff(y_st.view(), y_mt.view()), 1e-6);
 }
 
+TEST(Combine, TransposedIsBitIdenticalToPlainForEveryArity) {
+  // The APA executor combines transposed operand blocks with the transposed
+  // kernel and plain ones with the write-once kernel; lambda^-1 coefficients
+  // amplify any 1-ulp difference between the two, so they must round
+  // identically, term for term.
+  Rng rng(21);
+  const index_t rows = 45, cols = 70;  // neither a multiple of the 32 tile
+  for (std::size_t arity = 1; arity <= 5; ++arity) {
+    std::vector<Matrix<float>> plain, stored;
+    for (std::size_t t = 0; t < arity; ++t) {
+      plain.push_back(random_matrix<float>(rows, cols, rng));
+      Matrix<float> tr(cols, rows);
+      for (index_t i = 0; i < rows; ++i)
+        for (index_t j = 0; j < cols; ++j) tr(j, i) = plain.back()(i, j);
+      stored.push_back(std::move(tr));
+    }
+    std::vector<Scaled<float>> plain_terms, stored_terms;
+    for (std::size_t t = 0; t < arity; ++t) {
+      // lambda^-1-sized and lambda-sized coefficients, as bini322 uses.
+      const float coeff = static_cast<float>(rng.uniform(-2, 2)) * (t % 2 ? 512.0f : 1.0f);
+      plain_terms.push_back({coeff, plain[t].view().as_const()});
+      stored_terms.push_back({coeff, stored[t].view().as_const()});
+    }
+    for (const int threads : {1, 4}) {
+      Matrix<float> y_plain(rows, cols), y_trans(rows, cols);
+      linear_combination<float>(plain_terms, y_plain.view(), threads);
+      linear_combination_transposed<float>(stored_terms, y_trans.view(), threads);
+      for (index_t i = 0; i < rows; ++i) {
+        for (index_t j = 0; j < cols; ++j) {
+          ASSERT_EQ(y_trans(i, j), y_plain(i, j))
+              << "arity=" << arity << " threads=" << threads << " (" << i << "," << j
+              << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(Combine, StreamingEmptyTermsZeroes) {
   Matrix<float> y(3, 3);
   for (auto& v : y.span()) v = 5.0f;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "blas/gemm.h"
 #include "core/catalog.h"
@@ -112,7 +116,9 @@ INSTANTIATE_TEST_SUITE_P(Strategies, ExecutorStrategies,
                                            "apa555"));
 
 TEST(Executor, PaddingHandlesAwkwardDimensions) {
-  // 97 x 103 x 89 is divisible by nothing relevant; result must still be right.
+  // 97 x 103 x 89 is divisible by nothing relevant: the rule runs on the
+  // 96 x 102 x 88 core and classical gemms peel the fringe; the result must
+  // still be right.
   const Rule& rule = rule_by_name("bini322");
   Rng rng(7);
   Matrix<float> a(97, 103), b(103, 89), c(97, 89);
@@ -270,22 +276,27 @@ class ExecutorTransposes
 TEST_P(ExecutorTransposes, ZeroCopyTransposeMatchesMaterialized) {
   const auto& [algo, ta, tb] = GetParam();
   const Rule& rule = rule_by_name(algo);
-  const index_t m = 64, k = 64, n = 64;
-  Rng rng(static_cast<std::uint64_t>(41 + ta * 2 + tb));
-  Matrix<float> op_a(m, k), op_b(k, n), c_plain(m, n), c_trans(m, n);
-  fill_random_uniform<float>(op_a.view(), rng);
-  fill_random_uniform<float>(op_b.view(), rng);
-  multiply<float>(rule, op_a.view().as_const(), op_b.view().as_const(), c_plain.view(),
-                  {});
+  // 64^3 peels a fringe row for bini322; 66 x 64 x 64 is block-divisible for
+  // every rule here, so the core runs the transposed combine directly.
+  for (const index_t m : {index_t{64}, index_t{66}}) {
+    const index_t k = 64, n = 64;
+    Rng rng(static_cast<std::uint64_t>(41 + ta * 2 + tb));
+    Matrix<float> op_a(m, k), op_b(k, n), c_plain(m, n), c_trans(m, n);
+    fill_random_uniform<float>(op_a.view(), rng);
+    fill_random_uniform<float>(op_b.view(), rng);
+    multiply<float>(rule, op_a.view().as_const(), op_b.view().as_const(),
+                    c_plain.view(), {});
 
-  // Same logical product with transposed storage: both runs alias / combine /
-  // pack the same values, so the results must agree to rounding noise.
-  const Matrix<float> a_stored = ta ? transposed(op_a) : Matrix<float>();
-  const Matrix<float> b_stored = tb ? transposed(op_b) : Matrix<float>();
-  multiply<float>(rule, (ta ? a_stored : op_a).view().as_const(),
-                  (tb ? b_stored : op_b).view().as_const(), c_trans.view(), {}, ta, tb);
-  EXPECT_LT(max_abs_diff(c_trans.view(), c_plain.view()), 1e-5)
-      << "algo=" << algo << " ta=" << ta << " tb=" << tb;
+    // Same logical product with transposed storage: both runs alias / combine
+    // / pack the same values, so the results must agree to rounding noise.
+    const Matrix<float> a_stored = ta ? transposed(op_a) : Matrix<float>();
+    const Matrix<float> b_stored = tb ? transposed(op_b) : Matrix<float>();
+    multiply<float>(rule, (ta ? a_stored : op_a).view().as_const(),
+                    (tb ? b_stored : op_b).view().as_const(), c_trans.view(), {}, ta,
+                    tb);
+    EXPECT_LT(max_abs_diff(c_trans.view(), c_plain.view()), 1e-5)
+        << "algo=" << algo << " m=" << m << " ta=" << ta << " tb=" << tb;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -294,9 +305,103 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::string("bini322")),
                        ::testing::Bool(), ::testing::Bool()));
 
+/// One peeling case: a rule, which dimensions carry a fringe, transposes,
+/// recursion depth and strategy.
+struct PeelCase {
+  std::string algo;
+  bool fringe_m, fringe_k, fringe_n;
+  bool ta, tb;
+  int steps;
+  Strategy strategy;
+};
+
+void PrintTo(const PeelCase& p, std::ostream* os) {
+  *os << p.algo << "_" << (p.fringe_m ? "m" : "") << (p.fringe_k ? "k" : "")
+      << (p.fringe_n ? "n" : "") << "_" << (p.ta ? "T" : "N") << (p.tb ? "T" : "N")
+      << "_steps" << p.steps << "_" << to_string(p.strategy);
+}
+
+std::vector<PeelCase> peel_cases() {
+  std::vector<PeelCase> cases;
+  const bool fringes[4][3] = {
+      {true, false, false}, {false, true, false}, {false, false, true}, {true, true, true}};
+  for (const char* algo : {"strassen", "bini322", "fast442"}) {
+    for (const auto& f : fringes) {
+      for (const bool ta : {false, true}) {
+        for (const bool tb : {false, true}) {
+          for (const int steps : {1, 2}) {
+            for (const Strategy s : {Strategy::kSequential, Strategy::kHybrid}) {
+              cases.push_back({algo, f[0], f[1], f[2], ta, tb, steps, s});
+            }
+          }
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+class ExecutorPeeling : public ::testing::TestWithParam<PeelCase> {};
+
+TEST_P(ExecutorPeeling, FringeMatchesClassicalAndCoreWithinRuleBound) {
+  const PeelCase& p = GetParam();
+  const Rule& rule = rule_by_name(p.algo);
+  const AlgorithmParams params = analyze(rule);
+  // Core dimensions divisible by the rule's block at both levels (3 blocks of
+  // rule-dim^2); a fringe adds the widest remainder, rule-dim - 1 (at least 1).
+  const auto dim = [&](index_t block, bool fringe) {
+    return 3 * block * block + (fringe ? std::max<index_t>(1, block - 1) : 0);
+  };
+  const index_t m = dim(rule.m, p.fringe_m);
+  const index_t k = dim(rule.k, p.fringe_k);
+  const index_t n = dim(rule.n, p.fringe_n);
+  const index_t m0 = 3 * rule.m * rule.m;
+  const index_t n0 = 3 * rule.n * rule.n;
+
+  Rng rng(static_cast<std::uint64_t>(m * 131 + k * 17 + n));
+  Matrix<float> op_a(m, k), op_b(k, n), c(m, n);
+  fill_random_uniform<float>(op_a.view(), rng);
+  fill_random_uniform<float>(op_b.view(), rng);
+  for (auto& v : c.span()) v = std::numeric_limits<float>::quiet_NaN();
+  const Matrix<double> ref = reference_product(op_a, op_b);
+
+  const Matrix<float> a_stored = p.ta ? transposed(op_a) : Matrix<float>();
+  const Matrix<float> b_stored = p.tb ? transposed(op_b) : Matrix<float>();
+  const auto a_view = (p.ta ? a_stored : op_a).view().as_const();
+  const auto b_view = (p.tb ? b_stored : op_b).view().as_const();
+  ExecOptions opts;
+  opts.steps = p.steps;
+  opts.strategy = p.strategy;
+  opts.num_threads = p.strategy == Strategy::kHybrid ? 3 : 1;
+  multiply<float>(rule, a_view, b_view, c.view(), opts, p.ta, p.tb);
+
+  // The whole product, the same tolerance form as the registry sweep.
+  const double bound =
+      std::max(4.0 * params.predicted_error(kPrecisionBitsSingle, p.steps), 1e-5);
+  EXPECT_LT(relative_frobenius_error(c.view(), ref.view()), bound);
+
+  // Fringe rows and columns come from classical gemms over the full k, so
+  // they match the reference gemm to float roundoff.
+  Matrix<float> exact(m, n);
+  blas::gemm_reference<float>(p.ta ? blas::Trans::kYes : blas::Trans::kNo,
+                              p.tb ? blas::Trans::kYes : blas::Trans::kNo, m, n, k, 1.0f,
+                              a_view.data, a_view.ld, b_view.data, b_view.ld, 0.0f,
+                              exact.data(), exact.ld());
+  double fringe_diff = 0;
+  for (index_t i = 0; i < m; ++i) {
+    for (index_t j = 0; j < n; ++j) {
+      if (i < m0 && j < n0) continue;
+      fringe_diff = std::max(fringe_diff, static_cast<double>(std::abs(c(i, j) - exact(i, j))));
+    }
+  }
+  EXPECT_LT(fringe_diff, 1e-4);
+}
+
+INSTANTIATE_TEST_SUITE_P(Peeling, ExecutorPeeling, ::testing::ValuesIn(peel_cases()));
+
 TEST(Executor, TransposedOperandsThroughPadding) {
-  // Awkward dims force the pad path, which must materialize the transpose into
-  // the padded buffer rather than a plain copy.
+  // Awkward dims force a peeled fringe on every dimension: the core and the
+  // fringe gemms all read the transposed storage as zero-copy views.
   const Rule& rule = rule_by_name("bini322");
   Rng rng(53);
   Matrix<float> op_a(97, 103), op_b(103, 89), c(97, 89);

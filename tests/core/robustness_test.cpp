@@ -301,33 +301,121 @@ TEST(Robustness, GuardFalsePositiveRateOnHonestMultiplies) {
 
 TEST(Robustness, GuardOverheadSmallFractionOfMultiplyTime) {
   // Acceptance bound: Freivalds is O(mn + kn + mk) against the O(mkn)
-  // product — under 10% of backend matmul time at fast-path sizes.
+  // product — under 10% of backend matmul time at fast-path sizes. The
+  // transposed cases are the layer backward products (dX = dY W^T,
+  // dW = X^T dY) at a power-of-two leading dimension, where a column walk
+  // would stride across the whole operand.
+  struct Case {
+    index_t n;
+    bool ta, tb;
+  };
   FastMatmul mm("bini322");
-  Rng rng(17);
-  const index_t n = 768;
-  Matrix<float> a(n, n), b(n, n), c(n, n);
-  fill_random_uniform<float>(a.view(), rng);
-  fill_random_uniform<float>(b.view(), rng);
-  mm.multiply(a.view().as_const(), b.view().as_const(), c.view());  // warm-up
-
-  double multiply_seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    WallTimer timer;
-    mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
-    multiply_seconds = std::min(multiply_seconds, timer.seconds());
-  }
-
   const ProductGuard guard(ProductGuard::model_error_bound(mm.params(), 23, 1));
-  double verify_seconds = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    WallTimer timer;
-    const GuardReport report = guard.verify(a.view().as_const(), b.view().as_const(),
-                                            c.view().as_const(), rng);
-    ASSERT_TRUE(report.ok);
-    verify_seconds = std::min(verify_seconds, timer.seconds());
+  Rng rng(17);
+  for (const Case cs : {Case{768, false, false}, Case{1024, false, true},
+                        Case{1024, true, false}}) {
+    const index_t n = cs.n;
+    Matrix<float> a(n, n), b(n, n), c(n, n);
+    fill_random_uniform<float>(a.view(), rng);
+    fill_random_uniform<float>(b.view(), rng);
+    const auto run = [&] {
+      mm.multiply(a.view().as_const(), b.view().as_const(), c.view(), cs.ta, cs.tb);
+    };
+    run();  // warm-up
+
+    double multiply_seconds = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      WallTimer timer;
+      run();
+      multiply_seconds = std::min(multiply_seconds, timer.seconds());
+    }
+
+    double verify_seconds = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 5; ++rep) {
+      WallTimer timer;
+      const GuardReport report = guard.verify(a.view().as_const(), b.view().as_const(),
+                                              c.view().as_const(), rng, cs.ta, cs.tb);
+      ASSERT_TRUE(report.ok);
+      verify_seconds = std::min(verify_seconds, timer.seconds());
+    }
+    EXPECT_LT(verify_seconds, 0.10 * multiply_seconds)
+        << "n=" << n << " ta=" << cs.ta << " tb=" << cs.tb << ": verify "
+        << verify_seconds << "s vs multiply " << multiply_seconds << "s";
   }
-  EXPECT_LT(verify_seconds, 0.10 * multiply_seconds)
-      << "verify " << verify_seconds << "s vs multiply " << multiply_seconds << "s";
+}
+
+/// Logical op(A) (m x k), op(B) (k x n) and an honest bini322 C, plus copies
+/// of A and B stored with a power-of-two leading dimension — transposed where
+/// asked — so the guard reads the same logical operands through either layout.
+struct GuardLayouts {
+  Matrix<float> op_a, op_b, c;
+  Matrix<float> a_store, b_store;  // 128-wide storage
+  MatrixView<const float> a_view, b_view;
+
+  GuardLayouts(bool ta, bool tb, std::uint64_t seed)
+      : op_a(72, 96), op_b(96, 80), c(72, 80), a_store(96, 128), b_store(96, 128) {
+    Rng rng(seed);
+    fill_random_uniform<float>(op_a.view(), rng);
+    fill_random_uniform<float>(op_b.view(), rng);
+    FastMatmul("bini322").multiply(op_a.view().as_const(), op_b.view().as_const(),
+                                   c.view());
+    a_view = store(op_a, ta, a_store);
+    b_view = store(op_b, tb, b_store);
+  }
+
+  static MatrixView<const float> store(const Matrix<float>& m, bool trans,
+                                       Matrix<float>& storage) {
+    const index_t rows = trans ? m.cols() : m.rows();
+    const index_t cols = trans ? m.rows() : m.cols();
+    const auto v = storage.view().block(0, 0, rows, cols);
+    for (index_t i = 0; i < m.rows(); ++i)
+      for (index_t j = 0; j < m.cols(); ++j) (trans ? v(j, i) : v(i, j)) = m(i, j);
+    return v.as_const();
+  }
+};
+
+TEST(Robustness, GuardTransposedStorageMatchesMaterializedCopies) {
+  // Row-streamed transposed operands must certify exactly what the plain
+  // walk over materialized copies certifies: same probes, same tolerance,
+  // worst ratios equal up to double reassociation.
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const GuardLayouts g(ta, tb, 70 + ta * 2 + tb);
+      for (const int probes : {1, 3}) {
+        const ProductGuard guard(
+            ProductGuard::model_error_bound(analyze(rule_by_name("bini322")), 23, 1),
+            {.num_probes = probes});
+        Rng plain_rng(5), stored_rng(5);
+        const GuardReport plain = guard.verify(g.op_a.view().as_const(),
+                                               g.op_b.view().as_const(),
+                                               g.c.view().as_const(), plain_rng);
+        const GuardReport stored =
+            guard.verify(g.a_view, g.b_view, g.c.view().as_const(), stored_rng, ta, tb);
+        EXPECT_TRUE(plain.ok);
+        EXPECT_EQ(stored.ok, plain.ok);
+        EXPECT_GT(plain.worst_ratio, 0.0);
+        EXPECT_NEAR(stored.worst_ratio, plain.worst_ratio, 1e-9 * plain.worst_ratio)
+            << "ta=" << ta << " tb=" << tb << " probes=" << probes;
+      }
+    }
+  }
+}
+
+TEST(Robustness, GuardTripsOnSingleCorruptedEntryInEveryTransposePair) {
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      GuardLayouts g(ta, tb, 80 + ta * 2 + tb);
+      const ProductGuard guard(
+          ProductGuard::model_error_bound(analyze(rule_by_name("bini322")), 23, 1));
+      Rng rng(6);
+      ASSERT_TRUE(guard.verify(g.a_view, g.b_view, g.c.view().as_const(), rng, ta, tb).ok);
+      g.c(41, 17) += 100.0f;  // one entry, well above the matrix-level tolerance
+      const GuardReport report =
+          guard.verify(g.a_view, g.b_view, g.c.view().as_const(), rng, ta, tb);
+      EXPECT_FALSE(report.ok) << "ta=" << ta << " tb=" << tb;
+      EXPECT_GT(report.worst_ratio, 1.0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
