@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
 
   tune::RouterOptions tuning;
   tuning.algorithms = algos;
-  tuning.min_dim = min_dim;
   tuning.backend = base;
   tuning.cache_path = cache_path;
   tuning.cpu = "micro-router-bench";

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     tuning.measure_reps = 1;
     if (tune_cache.empty() || tune::load_tuning_cache(tune_cache).status !=
                                   tune::CacheStatus::kLoaded) {
-      tune::calibrate().apply(tuning.backend);
+      tuning.cost = tune::calibrate();  // the router's explore prior
     }
     auto tuned = std::make_shared<const tune::TunedBackend>(tuning);
     router = tuned.get();

@@ -127,11 +127,11 @@ int main(int argc, char** argv) {
     // per shape per epoch), so take one timed sample per burst: decisions
     // commit within the first couple of epochs instead of never.
     tuning.measure_reps = 1;
-    // Calibrate the dispatch cost model only when the cache cannot warm-start
+    // Calibrate the router's cost prior only when the cache cannot warm-start
     // this process; a warm fleet member pays neither probes nor exploration.
     if (tune_cache.empty() || tune::load_tuning_cache(tune_cache).status !=
                                   tune::CacheStatus::kLoaded) {
-      tune::calibrate().apply(tuning.backend);
+      tuning.cost = tune::calibrate();
     }
     auto tuned = std::make_shared<const tune::TunedBackend>(tuning);
     router = tuned.get();

@@ -5,11 +5,11 @@
 //
 // The im2col gemm is heavily rectangular (rows = batch*pixels, cols = a few
 // hundred), so whether an APA step pays depends on the machine's compute/
-// bandwidth balance; the backend's cost-aware dispatch decides per shape
-// (pass --cost-aware=false to force the fast path unconditionally).
+// bandwidth balance. Next to the measured times the example prints the
+// calibrated cost model's verdict for the forward gemm (paper section 2.4) —
+// the same prediction tune::TunedBackend uses as its explore prior.
 //
 //   ./vgg_conv_block [--algo=fast444] [--batch=8] [--channels=64] [--hw=56]
-//                    [--cost-aware=true]
 
 #include <cstdio>
 #include <vector>
@@ -17,6 +17,7 @@
 #include "nn/conv.h"
 #include "support/cli.h"
 #include "support/timer.h"
+#include "tune/calibrate.h"
 
 int main(int argc, char** argv) {
   using namespace apa;
@@ -46,20 +47,27 @@ int main(int argc, char** argv) {
   Matrix<float> dx(batch, shape.in_size());
   MatrixView<float> dx_view = dx.view();
 
+  const tune::CostCalibration cost = tune::calibrate();
   double classical_seconds = 0;
-  nn::BackendOptions backend_options;
-  backend_options.cost_aware = args.get_bool("cost-aware", true);
 
   for (const std::string& name : std::vector<std::string>{"classical", algo}) {
     Rng layer_rng(2);
     nn::ConvLayer layer(shape, layer_rng);
-    const nn::MatmulBackend backend(name, backend_options);
-    if (name != "classical") {
-      const auto* fast = backend.dispatch_for(gemm_m, shape.patch_size(),
-                                              shape.out_channels);
-      std::printf("dispatch for the forward gemm: %s\n",
-                  fast != nullptr ? "fast (predicted profitable)"
-                                  : "classical (predicted unprofitable)");
+    const nn::MatmulBackend backend(name);
+    const auto* fast =
+        backend.dispatch_for(gemm_m, shape.patch_size(), shape.out_channels);
+    if (fast != nullptr) {
+      const double apa = cost.predict_apa_seconds(fast->rule(), gemm_m,
+                                                  shape.patch_size(),
+                                                  shape.out_channels);
+      const double gemm = cost.predict_classical_seconds(
+          gemm_m, shape.patch_size(), shape.out_channels);
+      std::printf("cost model for the forward gemm: %.2e s APA vs %.2e s gemm "
+                  "(%s)\n",
+                  apa, gemm, apa < gemm ? "predicted profitable"
+                                        : "predicted unprofitable");
+    } else if (name != "classical") {
+      std::printf("forward gemm is below the fast cutoff: classical gemm\n");
     }
     // One warm + two timed forward/backward passes, keep the fastest.
     double best = 1e30;

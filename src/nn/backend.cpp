@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "blas/plan.h"
-#include "core/cost_model.h"
 #include "core/registry.h"
 #include "core/transforms.h"
 #include "support/check.h"
@@ -24,7 +23,6 @@ std::shared_ptr<const std::vector<core::FastMatmul>> build_orientations(
                  mm.params().n == candidate.n;
         });
     if (!seen) out->emplace_back(std::move(candidate), options.matmul);
-    if (!options.auto_orient) break;  // keep only the native orientation
   }
   return out;
 }
@@ -49,43 +47,18 @@ const core::FastMatmul* MatmulBackend::dispatch_for(index_t m, index_t k,
                                                     index_t n) const {
   if (orientations_.empty()) return nullptr;
   if (std::min({m, k, n}) < options_.min_dim_for_fast) return nullptr;
-  if (!options_.auto_orient) return orientations_.front();
 
   const index_t problem[3] = {m, k, n};
   int order[3] = {0, 1, 2};
   std::stable_sort(order, order + 3,
                    [&](int a, int b) { return problem[a] > problem[b]; });
-  const core::FastMatmul* chosen = orientations_.front();
   for (const core::FastMatmul* mm : orientations_) {
     const index_t dims[3] = {mm->params().m, mm->params().k, mm->params().n};
     if (dims[order[0]] >= dims[order[1]] && dims[order[1]] >= dims[order[2]]) {
-      chosen = mm;
-      break;
+      return mm;
     }
   }
-
-  if (options_.cost_aware) {
-    // One-step profitability estimate (core/cost_model.h): saved multiply time
-    // vs the memory-bound addition traffic.
-    const auto& params = chosen->params();
-    const auto round_up = [](index_t value, index_t block) {
-      return (value + block - 1) / block * block;
-    };
-    const index_t pm = round_up(m, params.m);
-    const index_t pk = round_up(k, params.k);
-    const index_t pn = round_up(n, params.n);
-    const double flops = 2.0 * static_cast<double>(pm) * pk * pn;
-    const double saved_fraction =
-        1.0 - static_cast<double>(params.rank) /
-                  static_cast<double>(params.m * params.k * params.n);
-    const double saved_seconds =
-        flops * saved_fraction / (options_.assumed_gemm_gflops * 1e9);
-    const double add_seconds =
-        core::addition_traffic_bytes(chosen->rule(), pm, pk, pn) /
-        options_.assumed_add_bandwidth;
-    if (saved_seconds <= add_seconds) return nullptr;
-  }
-  return chosen;
+  return orientations_.front();
 }
 
 void MatmulBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float> b,

@@ -32,19 +32,13 @@ namespace apa::nn {
 
 struct BackendOptions {
   core::FastMatmulOptions matmul;
-  /// Fall back to classical gemm when min(m, k, n) is below this.
+  /// Fall back to classical gemm when min(m, k, n) is below this. The one
+  /// cutoff: tune::TunedBackend bypasses tuning below it too.
   index_t min_dim_for_fast = 128;
-  /// Permute the rule to match the problem's aspect ratio per call.
-  bool auto_orient = true;
-  /// Profitability-aware dispatch (extension of paper section 2.4): estimate
-  /// the flops saved by the rule against its addition traffic using the cost
-  /// model, and fall back to classical gemm when the step cannot pay — e.g.
-  /// skinny problems whose shared operand blocks dwarf the flop savings.
-  bool cost_aware = false;
-  /// Machine constants for the cost-aware estimate; override after measuring
-  /// (core::measure_add_bandwidth and a gemm timing) for tighter dispatch.
-  double assumed_gemm_gflops = 45.0;
-  double assumed_add_bandwidth = 8e9;  // bytes/second
+  /// Nominal machine constants for an uncalibrated cost-model estimate
+  /// (tune::CostCalibration measures the real ones).
+  static constexpr double assumed_gemm_gflops = 45.0;
+  static constexpr double assumed_add_bandwidth = 8e9;  // bytes/second
 };
 
 /// Optional extras for one matmul call: an elementwise epilogue applied to C

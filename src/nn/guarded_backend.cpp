@@ -23,6 +23,18 @@ GuardStats guard_stats_delta(const GuardStats& before, const GuardStats& after) 
   return d;
 }
 
+GuardStats& operator+=(GuardStats& total, const GuardStats& other) {
+  total.fast_calls += other.fast_calls;
+  total.checks_run += other.checks_run;
+  total.trips_tolerance += other.trips_tolerance;
+  total.trips_nonfinite += other.trips_nonfinite;
+  total.fallback_reruns += other.fallback_reruns;
+  total.quarantined_calls += other.quarantined_calls;
+  total.shapes_quarantined += other.shapes_quarantined;
+  total.worst_ratio = std::max(total.worst_ratio, other.worst_ratio);
+  return total;
+}
+
 GuardedBackend::GuardedBackend(const std::string& algorithm, BackendOptions options,
                                GuardPolicy policy)
     : MatmulBackend(algorithm, options),

@@ -69,6 +69,10 @@ struct GuardStats {
 [[nodiscard]] GuardStats guard_stats_delta(const GuardStats& before,
                                            const GuardStats& after);
 
+/// Accumulates `other` into `total`: counter fields add, worst_ratio keeps
+/// the max. Folds intervals (guard_stats_delta) or several backends' stats.
+GuardStats& operator+=(GuardStats& total, const GuardStats& other);
+
 class GuardedBackend : public MatmulBackend {
  public:
   GuardedBackend(const std::string& algorithm, BackendOptions options = {},

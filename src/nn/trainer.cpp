@@ -36,15 +36,7 @@ class GuardFold {
   void segment_end(const Model& model) {
     const auto* guarded = dynamic_cast<const GuardedBackend*>(&model.fast_backend());
     if (guarded == nullptr) return;
-    const GuardStats d = guard_stats_delta(base_, guarded->stats());
-    acc_.fast_calls += d.fast_calls;
-    acc_.checks_run += d.checks_run;
-    acc_.trips_tolerance += d.trips_tolerance;
-    acc_.trips_nonfinite += d.trips_nonfinite;
-    acc_.fallback_reruns += d.fallback_reruns;
-    acc_.quarantined_calls += d.quarantined_calls;
-    acc_.shapes_quarantined += d.shapes_quarantined;
-    acc_.worst_ratio = std::max(acc_.worst_ratio, d.worst_ratio);
+    acc_ += guard_stats_delta(base_, guarded->stats());
   }
 
   template <class Model>
@@ -136,9 +128,15 @@ EpochStats train_epoch_guarded(Model& model, data::Dataset& dataset, index_t bat
                                      ? default_guard_checkpoint_path(&model)
                                      : guard.checkpoint_path;
   // A run killed mid-save leaves a `.tmp` orphan next to the checkpoint;
-  // clear those before the first commit of this epoch.
-  cleanup_stale_checkpoint_temps(
-      std::filesystem::path(checkpoint).parent_path().string());
+  // clear it before the first commit of this epoch. The default path lives in
+  // the shared temp directory, where other processes' in-flight commits sit
+  // too, so there only this run's own orphan goes.
+  if (guard.checkpoint_path.empty()) {
+    std::remove((checkpoint + ".tmp").c_str());
+  } else {
+    cleanup_stale_checkpoint_temps(
+        std::filesystem::path(checkpoint).parent_path().string());
+  }
   {
     APA_TRACE_SCOPE("train.checkpoint");
     save_checkpoint(checkpoint, model);

@@ -1,7 +1,8 @@
 #pragma once
 // Minimal JSON rendering helpers shared by the observability sinks (telemetry
 // JSONL, Chrome-trace export) and the benchutil BENCH_*.json writer. Rendering
-// only — the repo never parses JSON, so there is deliberately no reader here.
+// only: the library never reads JSON back, so there is no reader here (the
+// postmortem tools parse what these helpers write with tools/obs/json_min).
 
 #include <cstdio>
 #include <string>

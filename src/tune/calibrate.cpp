@@ -91,12 +91,6 @@ double CostCalibration::predict_apa_seconds(const core::Rule& rule, index_t m,
       .total();
 }
 
-void CostCalibration::apply(nn::BackendOptions& options) const {
-  if (!valid()) return;
-  options.assumed_gemm_gflops = gemm_gflops;
-  options.assumed_add_bandwidth = add_bandwidth;
-}
-
 CostCalibration calibrate_from_obs() {
   CostCalibration c;
   c.gemm_flops = obs::counter_value("blas.gemm.flops");

@@ -4,10 +4,8 @@
 // The analytic cost model (core/cost_model.h, paper section 2.4) predicts an
 // APA step's time from two machine constants: the achieved gemm throughput of
 // the sub-products and the streaming bandwidth of the write-once linear
-// combinations. Until now those constants were either hard-coded defaults
-// (BackendOptions::assumed_*) or re-measured with a dedicated timing pass per
-// binary. This module derives them from counters the instrumented kernels
-// already emit on ordinary traffic:
+// combinations. This module derives them from counters the instrumented
+// kernels already emit on ordinary traffic:
 //
 //   gemm_gflops   = "blas.gemm.flops"  counter / "blas.gemm"     phase time
 //   add_bandwidth = "core.combine.bytes" counter / "core.combine_*" phase time
@@ -21,7 +19,7 @@
 
 #include "core/cost_model.h"
 #include "core/rule.h"
-#include "nn/backend.h"
+#include "support/matrix.h"
 
 namespace apa::tune {
 
@@ -54,10 +52,6 @@ struct CostCalibration {
   /// Predicted seconds for one APA step of `rule` at (m, k, n).
   [[nodiscard]] double predict_apa_seconds(const core::Rule& rule, index_t m,
                                            index_t k, index_t n) const;
-
-  /// Seeds the backend's cost-aware dispatch constants, replacing the
-  /// hard-coded assumed_gemm_gflops / assumed_add_bandwidth defaults.
-  void apply(nn::BackendOptions& options) const;
 };
 
 /// Builds a calibration from whatever the obs registry currently holds.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -35,6 +33,25 @@ std::string backend_key(const RouterCandidate& c) {
     key << "/l" << bits;
   }
   return key.str();
+}
+
+/// The identifying fields of one ladder slot, for the route_decision record.
+obs::JsonRecord candidate_record(const RouterCandidate& c) {
+  obs::JsonRecord record;
+  record.set("algorithm", c.algorithm)
+      .set("steps", c.steps)
+      .set("strategy", core::to_string(c.strategy))
+      .set("plan", to_string(c.plan));
+  return record;
+}
+
+std::string json_array(const std::vector<obs::JsonRecord>& records) {
+  std::string out = "[";
+  for (const obs::JsonRecord& record : records) {
+    if (out.size() > 1) out += ",";
+    out += record.to_json();
+  }
+  return out + "]";
 }
 
 RouterCandidate candidate_from_choice(const TunedChoice& choice) {
@@ -93,23 +110,24 @@ TunedBackend::TunedBackend(RouterOptions options)
   }
 }
 
-std::vector<RouterCandidate> TunedBackend::candidates_for(index_t m, index_t k,
-                                                          index_t n) const {
+std::vector<RouterCandidate> TunedBackend::candidates_for(
+    index_t m, index_t k, index_t n,
+    std::vector<std::pair<RouterCandidate, double>>& pruned) const {
   std::vector<RouterCandidate> out;
   out.push_back(classical_fallback());
-  if (options_.explore_plain_plan) {
-    RouterCandidate plain;
-    plain.plan = PlanVariant::kPlain;
-    out.push_back(plain);
+  RouterCandidate plain;
+  plain.plan = PlanVariant::kPlain;
+  out.push_back(plain);
+  std::vector<int> steps_list = {1};
+  if (std::min({m, k, n}) >= 2 * options_.backend.min_dim_for_fast) {
+    steps_list.push_back(2);
   }
-  const index_t min_mkn = std::min({m, k, n});
   const int threads = options_.backend.matmul.num_threads;
+  const double classical_seconds =
+      options_.cost.valid() ? options_.cost.predict_classical_seconds(m, k, n)
+                            : 0.0;
   for (const std::string& algo : options_.algorithms) {
     if (algo == "classical" || !core::has_algorithm(algo)) continue;
-    std::vector<int> steps_list = {1};
-    if (options_.explore_two_step && min_mkn >= 2 * options_.min_dim) {
-      steps_list.push_back(2);
-    }
     for (const int steps : steps_list) {
       std::vector<core::Strategy> strategies = {core::Strategy::kSequential};
       if (threads > 1) strategies.push_back(core::Strategy::kHybrid);
@@ -118,10 +136,16 @@ std::vector<RouterCandidate> TunedBackend::candidates_for(index_t m, index_t k,
         c.algorithm = algo;
         c.steps = steps;
         c.strategy = strategy;
-        // A candidate that would dispatch classically at this shape (cutoff,
-        // orientation) is a duplicate of slot 0 — skip it so the measured
-        // space stays meaningfully distinct.
-        if (backend_for(c).dispatch_for(m, k, n) == nullptr) continue;
+        if (options_.cost.valid()) {
+          // Shapes below the backend cutoff never reach the ladder, so the
+          // candidate dispatches to its oriented rule here.
+          const core::Rule& rule = backend_for(c).dispatch_for(m, k, n)->rule();
+          const double predicted = options_.cost.predict_apa_seconds(rule, m, k, n);
+          if (predicted >= classical_seconds) {
+            pruned.emplace_back(std::move(c), predicted);
+            continue;
+          }
+        }
         out.push_back(std::move(c));
       }
     }
@@ -165,17 +189,6 @@ void TunedBackend::run_candidate(const RouterCandidate& candidate,
 }
 
 void TunedBackend::commit_decision(const ShapeKey& key, Entry& entry) const {
-  if (std::getenv("APAMM_ROUTER_DEBUG") != nullptr) {
-    for (std::size_t i = 0; i < entry.candidates.size(); ++i) {
-      std::fprintf(stderr, "[router] %lldx%lldx%lld %s/s%d/%s: %.6f\n",
-                   static_cast<long long>(key.m), static_cast<long long>(key.k),
-                   static_cast<long long>(key.n),
-                   entry.candidates[i].algorithm.c_str(),
-                   entry.candidates[i].steps,
-                   to_string(entry.candidates[i].plan),
-                   entry.best_seconds[i]);
-    }
-  }
   std::size_t winner = entry.best_index();
   // Hysteresis: a complex candidate must beat a simpler one by more than the
   // noise floor; within the margin the earliest (simplest) candidate wins.
@@ -232,6 +245,22 @@ void TunedBackend::commit_decision(const ShapeKey& key, Entry& entry) const {
         .set("seconds", entry.decision.expected_seconds)
         .set("samples",
              static_cast<unsigned long long>(entry.decision.samples));
+    std::vector<obs::JsonRecord> candidates;
+    for (std::size_t i = 0; i < entry.candidates.size(); ++i) {
+      candidates.push_back(
+          candidate_record(entry.candidates[i])
+              .set("best_seconds", entry.best_seconds[i])
+              .set("samples", static_cast<unsigned long long>(entry.samples[i])));
+    }
+    record.set_raw("candidates", json_array(candidates));
+    if (options_.cost.valid()) {
+      std::vector<obs::JsonRecord> pruned;
+      for (const auto& [candidate, predicted] : entry.pruned) {
+        pruned.push_back(
+            candidate_record(candidate).set("predicted_seconds", predicted));
+      }
+      record.set_raw("pruned", json_array(pruned));
+    }
     options_.telemetry->write(record);
   }
 }
@@ -244,7 +273,8 @@ void TunedBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float> 
   const index_t k = transpose_a ? a.rows : a.cols;
   const index_t n = transpose_b ? b.rows : b.cols;
 
-  if (!options_.enabled || std::min({m, k, n}) < options_.min_dim) {
+  if (!options_.enabled ||
+      std::min({m, k, n}) < options_.backend.min_dim_for_fast) {
     {
       MutexLock lock(state_->mu);
       ++state_->stats.static_calls;
@@ -263,7 +293,7 @@ void TunedBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float> 
     MutexLock lock(state_->mu);
     Entry& entry = state_->entries[key];
     if (!entry.decided && entry.candidates.empty()) {
-      entry.candidates = candidates_for(m, k, n);
+      entry.candidates = candidates_for(m, k, n, entry.pruned);
       entry.best_seconds.assign(entry.candidates.size(), kInf);
       entry.samples.assign(entry.candidates.size(), 0);
     }
@@ -433,16 +463,7 @@ nn::GuardStats TunedBackend::guard_stats() const {
   nn::GuardStats total;
   for (const auto& [key, backend] : state_->backends) {
     const auto* guarded = dynamic_cast<const nn::GuardedBackend*>(backend.get());
-    if (guarded == nullptr) continue;
-    const nn::GuardStats s = guarded->stats();
-    total.fast_calls += s.fast_calls;
-    total.checks_run += s.checks_run;
-    total.trips_tolerance += s.trips_tolerance;
-    total.trips_nonfinite += s.trips_nonfinite;
-    total.fallback_reruns += s.fallback_reruns;
-    total.quarantined_calls += s.quarantined_calls;
-    total.shapes_quarantined += s.shapes_quarantined;
-    total.worst_ratio = std::max(total.worst_ratio, s.worst_ratio);
+    if (guarded != nullptr) total += guarded->stats();
   }
   return total;
 }

@@ -23,8 +23,10 @@
 //
 // TunedBackend is a MatmulBackend, so DenseLayer / ConvLayer / the trainers
 // route through it unchanged, fusion epilogues and prepacked plans included.
-// With tuning disabled (or below min_dim) every call falls through to the
-// configured static backend — exactly today's hard-coded behavior.
+// With tuning disabled (or below backend.min_dim_for_fast) every call falls
+// through to the configured static backend — exactly today's hard-coded
+// behavior. The router is the one place that chooses between algorithms; an
+// optional calibrated cost model (RouterOptions::cost) acts as its prior.
 //
 // Determinism: the candidate order is fixed, sample slots are assigned under
 // the state lock, and ties break to the lowest candidate index — so a warm
@@ -37,12 +39,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/guarded_backend.h"
 #include "obs/telemetry.h"
 #include "support/thread_annotations.h"
 #include "tune/cache.h"
+#include "tune/calibrate.h"
 
 namespace apa::tune {
 
@@ -78,13 +82,6 @@ struct RouterOptions {
   /// depth, so a deeper/approximate variant must win by more than the noise
   /// floor to displace a simpler one.
   double hysteresis = 0.03;
-  /// Also try two recursive steps when every dimension can split twice.
-  bool explore_two_step = true;
-  /// Also try the plan-stripped classical variant (repack per call).
-  bool explore_plain_plan = true;
-  /// Shapes with min(m, k, n) below this bypass tuning entirely and run the
-  /// classical static path (one recursive step cannot pay there).
-  index_t min_dim = 128;
   /// false = no exploration, no cache: behave as the static backend.
   bool enabled = true;
   /// Tuning-cache file; empty disables persistence.
@@ -93,9 +90,15 @@ struct RouterOptions {
   bool autosave = true;
   /// CPU signature override for tests; empty uses cpu_signature().
   std::string cpu;
-  /// Base backend policy (thread count, fast cutoff, cost constants) shared
-  /// by every candidate backend.
+  /// Base backend policy shared by every candidate backend. Shapes with
+  /// min(m, k, n) below backend.min_dim_for_fast bypass tuning and run the
+  /// static backend; two-step candidates need min(m, k, n) at twice that.
   nn::BackendOptions backend;
+  /// Explore prior (paper section 2.4). When valid(), an APA candidate whose
+  /// predicted one-step time is no better than classical gemm's is pruned
+  /// from the ladder unmeasured. The default (invalid) calibration prunes
+  /// nothing.
+  CostCalibration cost;
   /// Guard policy applied to every APA candidate (fault injection included).
   nn::GuardPolicy guard;
   /// Consult the numerical-health monitor (obs::health()) on every decided
@@ -119,7 +122,7 @@ struct RouterStats {
   std::uint64_t decided_calls = 0;     ///< served by a committed decision
   std::uint64_t explore_samples = 0;   ///< timed candidate executions
   std::uint64_t decisions = 0;         ///< choices committed this process
-  std::uint64_t static_calls = 0;      ///< below min_dim or tuning disabled
+  std::uint64_t static_calls = 0;      ///< below the cutoff or tuning disabled
   std::uint64_t quarantine_overrides = 0;  ///< APA choice served classically
   std::uint64_t health_overrides = 0;  ///< APA choice derated by drift flag
   std::uint64_t warm_entries = 0;      ///< decisions loaded from the cache
@@ -182,6 +185,8 @@ class TunedBackend : public nn::MatmulBackend {
   /// annotations of their own.
   struct Entry {
     std::vector<RouterCandidate> candidates;
+    /// APA candidates the cost prior skipped, with their predicted seconds.
+    std::vector<std::pair<RouterCandidate, double>> pruned;
     std::vector<double> best_seconds;  ///< min over recorded samples, else +inf
     std::vector<std::uint64_t> samples;
     int next_slot = 0;
@@ -223,8 +228,11 @@ class TunedBackend : public nn::MatmulBackend {
     mutable Mutex save_mu APAMM_ACQUIRED_BEFORE(mu);
   };
 
-  [[nodiscard]] std::vector<RouterCandidate> candidates_for(index_t m, index_t k,
-                                                            index_t n) const
+  /// The ladder for (m, k, n); APA candidates the cost prior rules out go
+  /// to `pruned` instead.
+  [[nodiscard]] std::vector<RouterCandidate> candidates_for(
+      index_t m, index_t k, index_t n,
+      std::vector<std::pair<RouterCandidate, double>>& pruned) const
       APAMM_EXCLUDES(state_->backends_mu);
   [[nodiscard]] const nn::MatmulBackend& backend_for(
       const RouterCandidate& candidate) const

@@ -77,17 +77,6 @@ TEST(Backend, OrientationMatchesProblemAspect) {
   EXPECT_EQ(fwd->params().k, 4);
 }
 
-TEST(Backend, AutoOrientOffKeepsNativeOrientation) {
-  BackendOptions options;
-  options.min_dim_for_fast = 1;
-  options.auto_orient = false;
-  MatmulBackend backend("fast442", options);
-  const auto* mm = backend.dispatch_for(2, 4096, 4096);
-  ASSERT_NE(mm, nullptr);
-  EXPECT_EQ(mm->params().m, 4);
-  EXPECT_EQ(mm->params().n, 2);
-}
-
 TEST(Backend, OrientedResultStaysAccurate) {
   // Rectangular problem where orientation changes the applied rule.
   Rng rng(11);
@@ -118,29 +107,6 @@ TEST(Backend, ShapeMismatchThrows) {
   Matrix<float> a(4, 5), b(6, 3), c(4, 3);
   EXPECT_THROW(backend.matmul(a.view().as_const(), b.view().as_const(), c.view()),
                std::logic_error);
-}
-
-TEST(Backend, CostAwareSkipsUnprofitableShapes) {
-  BackendOptions options;
-  options.cost_aware = true;
-  MatmulBackend backend("fast442", options);
-  // Skinny batch dimension: the shared-operand addition traffic dwarfs the
-  // 12.5% flop savings of rank 28 vs 32 -> classical.
-  EXPECT_EQ(backend.dispatch_for(256, 4096, 4096), nullptr);
-  // Large square problem: flop savings dominate -> fast.
-  EXPECT_NE(backend.dispatch_for(4096, 4096, 4096), nullptr);
-}
-
-TEST(Backend, CostAwareRespectsMachineConstants) {
-  BackendOptions options;
-  options.cost_aware = true;
-  options.assumed_add_bandwidth = 1e15;  // additions ~free -> always profitable
-  MatmulBackend generous("fast444", options);
-  EXPECT_NE(generous.dispatch_for(256, 4096, 4096), nullptr);
-
-  options.assumed_add_bandwidth = 1.0;  // additions ~infinite cost -> never
-  MatmulBackend stingy("fast444", options);
-  EXPECT_EQ(stingy.dispatch_for(4096, 4096, 4096), nullptr);
 }
 
 TEST(Backend, SwappedTransposeEvaluationIsAccurate) {

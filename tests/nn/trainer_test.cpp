@@ -1,6 +1,7 @@
 #include "nn/trainer.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
@@ -256,6 +257,27 @@ TEST(Trainer, CnnGuardedEnabledWithoutDivergenceIsBitNeutral) {
   EXPECT_DOUBLE_EQ(plain.mean_loss, guarded.mean_loss);
   EXPECT_EQ(report.recoveries, 0);
   EXPECT_GE(report.checkpoints_written, 3);  // initial + one per step
+}
+
+TEST(Trainer, GuardedEpochLeavesOtherProcessesTempsAlone) {
+  // The default auto-checkpoint lives in the shared temp directory, next to
+  // other processes' in-flight `*.ckpt.tmp` commits; a guarded epoch must
+  // clean up only its own orphan, never theirs.
+  const std::filesystem::path foreign =
+      std::filesystem::temp_directory_path() /
+      ("apamm_guard_" + std::to_string(::getpid() + 1) + "_x.ckpt.tmp");
+  std::ofstream(foreign) << "another run's half-written checkpoint";
+  ASSERT_TRUE(std::filesystem::exists(foreign));
+
+  auto data = tiny_dataset(200);
+  auto mlp = tiny_mlp();
+  TrainGuardOptions guard;
+  guard.enabled = true;  // checkpoint_path stays empty: the default location
+  Rng rng(5);
+  train_epoch(mlp, data, 50, &rng, guard);
+
+  EXPECT_TRUE(std::filesystem::exists(foreign));
+  std::filesystem::remove(foreign);
 }
 
 TEST(Trainer, CnnRollbackRecoversFromRoundoffExplosion) {

@@ -75,22 +75,6 @@ TEST(CalibrateTest, OrdinaryTrafficSeedsTheRegistryCalibration) {
   EXPECT_GT(cal.combine_ns, 0u);
 }
 
-TEST(CalibrateTest, ApplySeedsBackendCostConstants) {
-  CostCalibration cal;
-  cal.gemm_gflops = 33.0;
-  cal.add_bandwidth = 5.5e9;
-  nn::BackendOptions options;
-  cal.apply(options);
-  EXPECT_EQ(options.assumed_gemm_gflops, 33.0);
-  EXPECT_EQ(options.assumed_add_bandwidth, 5.5e9);
-
-  // An invalid calibration must leave the defaults untouched.
-  nn::BackendOptions untouched;
-  const double default_gflops = untouched.assumed_gemm_gflops;
-  CostCalibration{}.apply(untouched);
-  EXPECT_EQ(untouched.assumed_gemm_gflops, default_gflops);
-}
-
 TEST(CalibrateTest, PredictionsScaleWithProblemSize) {
   CostCalibration cal;
   cal.gemm_gflops = 40.0;

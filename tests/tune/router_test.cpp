@@ -6,12 +6,17 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "nn/mlp.h"
+#include "obs/json_min.h"
+#include "obs/telemetry.h"
 #include "support/rng.h"
 
 namespace apa::tune {
@@ -32,7 +37,6 @@ double fixed_cost(const RouterCandidate& c, index_t /*m*/, index_t /*k*/,
 RouterOptions test_options() {
   RouterOptions options;
   options.algorithms = {"bini322"};
-  options.min_dim = 32;
   options.backend.min_dim_for_fast = 32;
   options.cpu = kTestCpu;
   options.measure_override = fixed_cost;
@@ -62,6 +66,40 @@ int drive_to_decision(const TunedBackend& backend, Problem& problem) {
   return -1;
 }
 
+/// The one route_decision record a sink received, parsed back.
+obstools::JsonValue route_decision(const std::string& path) {
+  std::vector<obstools::JsonValue> decisions;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    obstools::JsonValue value;
+    std::string error;
+    EXPECT_TRUE(obstools::parse_json(line, &value, &error)) << error;
+    if (value.get_str("type", "") == "route_decision") {
+      decisions.push_back(std::move(value));
+    }
+  }
+  EXPECT_EQ(decisions.size(), 1u);
+  return decisions.empty() ? obstools::JsonValue{} : decisions.front();
+}
+
+std::string label(const std::string& algorithm, long long steps,
+                  const std::string& plan) {
+  return algorithm + "/s" + std::to_string(steps) + "/" + plan;
+}
+
+/// label() of each entry of a record's `key` array, in order.
+std::vector<std::string> ladder(const obstools::JsonValue& record,
+                                std::string_view key) {
+  std::vector<std::string> out;
+  const obstools::JsonValue* entries = record.find(key);
+  if (entries == nullptr) return out;
+  for (const obstools::JsonValue& c : entries->array) {
+    out.push_back(label(c.get_str("algorithm", ""), c.get_int("steps", 0),
+                        c.get_str("plan", "")));
+  }
+  return out;
+}
+
 class TunedRouterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -76,9 +114,31 @@ class TunedRouterTest : public ::testing::Test {
   void TearDown() override {
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
+    std::remove(telemetry_path().c_str());
   }
+  [[nodiscard]] std::string telemetry_path() const { return path_ + ".jsonl"; }
+
+  /// Drives a fresh router over `options` to its decision at kDim^3 and
+  /// returns the route_decision record it wrote.
+  obstools::JsonValue decide(RouterOptions options) {
+    obs::TelemetrySink sink(telemetry_path());
+    options.telemetry = &sink;
+    const TunedBackend backend(options);
+    Problem problem;
+    drive_to_decision(backend, problem);
+    route_ = backend.route_for(kDim, kDim, kDim);
+    return route_decision(telemetry_path());
+  }
+
   std::string path_;
+  std::optional<TunedChoice> route_;
 };
+
+// The default ladder at 96^3 with the 32 cutoff: both classical plan variants,
+// then bini322 at one and two steps.
+const std::vector<std::string> kFullLadder = {
+    "classical/s1/prepack", "classical/s1/plain", "bini322/s1/prepack",
+    "bini322/s2/prepack"};
 
 TEST_F(TunedRouterTest, ExploresThenCommitsTheCheapestCandidate) {
   const TunedBackend backend(test_options());
@@ -149,6 +209,86 @@ TEST_F(TunedRouterTest, DisabledRouterBehavesStatically) {
   EXPECT_EQ(backend.stats().static_calls, 4u);
   EXPECT_TRUE(backend.choice_table().empty());
   EXPECT_FALSE(backend.save());  // no cache path configured
+}
+
+TEST_F(TunedRouterTest, RouteDecisionListsEveryExploredCandidate) {
+  struct Explored {
+    int calls = 0;
+    double seconds = 0.0;
+  };
+  std::map<std::string, Explored> explored;  // by ladder label
+  RouterOptions options = test_options();
+  options.measure_override = [&explored](const RouterCandidate& c, index_t m,
+                                         index_t k, index_t n) {
+    Explored& e = explored[label(c.algorithm, c.steps, to_string(c.plan))];
+    ++e.calls;
+    e.seconds = fixed_cost(c, m, k, n);
+    return e.seconds;
+  };
+  const obstools::JsonValue record = decide(options);
+
+  const std::vector<std::string> names = ladder(record, "candidates");
+  EXPECT_EQ(names, kFullLadder);
+  EXPECT_EQ(record.find("pruned"), nullptr);  // no calibration, no prior
+  ASSERT_EQ(explored.size(), names.size());
+  const std::vector<obstools::JsonValue>& entries = record.find("candidates")->array;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const Explored& e = explored[names[i]];
+    EXPECT_EQ(e.calls, 2 * (options.measure_reps + options.warmup_reps)) << names[i];
+    // Warm-up calls run but are never recorded.
+    EXPECT_EQ(entries[i].get_int("samples", -1), 2 * options.measure_reps) << names[i];
+    EXPECT_EQ(entries[i].get_num("best_seconds", -1.0), e.seconds) << names[i];
+    EXPECT_EQ(entries[i].get_str("strategy", ""), "sequential") << names[i];
+  }
+}
+
+TEST_F(TunedRouterTest, CostPriorKeepsCandidatesItPredictsProfitable) {
+  RouterOptions options = test_options();
+  options.cost.gemm_gflops = 45.0;
+  options.cost.add_bandwidth = 1e15;  // additions ~free: every step pays
+  const obstools::JsonValue record = decide(options);
+  EXPECT_EQ(ladder(record, "candidates"), kFullLadder);
+  EXPECT_TRUE(ladder(record, "pruned").empty());
+  ASSERT_TRUE(route_.has_value());
+  EXPECT_EQ(route_->algorithm, "bini322");
+}
+
+TEST_F(TunedRouterTest, CostPriorPrunesCandidatesItPredictsUnprofitable) {
+  RouterOptions options = test_options();
+  bool measured_apa = false;
+  options.measure_override = [&measured_apa](const RouterCandidate& c,
+                                             index_t m, index_t k, index_t n) {
+    measured_apa = measured_apa || c.algorithm != "classical";
+    return fixed_cost(c, m, k, n);
+  };
+  options.cost.gemm_gflops = 45.0;
+  options.cost.add_bandwidth = 1.0;  // additions ~infinitely slow: none pays
+  const obstools::JsonValue record = decide(options);
+
+  EXPECT_FALSE(measured_apa);  // bini322 is cheapest, yet never explored
+  EXPECT_EQ(ladder(record, "candidates"),
+            (std::vector<std::string>{"classical/s1/prepack", "classical/s1/plain"}));
+  EXPECT_EQ(ladder(record, "pruned"),
+            (std::vector<std::string>{"bini322/s1/prepack", "bini322/s2/prepack"}));
+  for (const obstools::JsonValue& c : record.find("pruned")->array) {
+    EXPECT_GT(c.get_num("predicted_seconds", 0.0),
+              options.cost.predict_classical_seconds(kDim, kDim, kDim));
+  }
+  ASSERT_TRUE(route_.has_value());
+  EXPECT_EQ(route_->algorithm, "classical");
+}
+
+TEST_F(TunedRouterTest, InvalidCostCalibrationLeavesLadderUnchanged) {
+  EXPECT_EQ(ladder(decide(test_options()), "candidates"), kFullLadder);
+
+  RouterOptions half_measured = test_options();
+  half_measured.cost.add_bandwidth = 1.0;  // no gemm rate: not valid()
+  ASSERT_FALSE(half_measured.cost.valid());
+  const obstools::JsonValue record = decide(half_measured);
+  EXPECT_EQ(ladder(record, "candidates"), kFullLadder);
+  EXPECT_EQ(record.find("pruned"), nullptr);
+  ASSERT_TRUE(route_.has_value());
+  EXPECT_EQ(route_->algorithm, "bini322");
 }
 
 TEST_F(TunedRouterTest, IdenticalProcessesProduceIdenticalTables) {
