@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Pins the observability layer's runtime cost: builds the tree twice
-# (-DAPAMM_OBS=ON with its default-on phase accumulation, flight-recorder
-# span mirror, and numerical-health monitor; -DAPAMM_OBS=OFF with every macro
+# (-DAPAMM_OBS=ON with its default-on phase accumulation, per-thread event
+# rings, and numerical-health monitor; -DAPAMM_OBS=OFF with every macro
 # compiled out), runs the prepack and conv micro benches in both, and writes
 # BENCH_obs_overhead.json with the ON/OFF time ratio per workload. The
 # acceptance budget is <= 2% on the summed timed work; the script exits

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace apa::bench {
 
 bool BenchJsonWriter::write(const std::string& path) const {
@@ -12,7 +14,7 @@ bool BenchJsonWriter::write(const std::string& path) const {
                  path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+  std::fprintf(f, "{\n  \"bench\": %s,\n", obs::json_quote(name_).c_str());
   const std::string meta_json = meta_.to_json();
   if (meta_json.size() > 2) {  // non-empty object: splice its fields inline
     std::fprintf(f, "  %s,\n",

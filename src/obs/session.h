@@ -38,8 +38,9 @@ class ObsSession {
  public:
   /// Empty paths disable the corresponding output. A non-empty `trace_path`
   /// turns on ring recording (obs::set_tracing) for the session's lifetime.
-  /// `trace_cap_events` bounds ring retention per thread (--trace-cap);
-  /// 0 keeps the current capacity (64Ki spans/thread by default).
+  /// `trace_cap_events` bounds each ring sized while tracing (--trace-cap);
+  /// 0 keeps the current capacity (64Ki entries/thread by default). The
+  /// flight view reads the newest 4096 entries of the same rings.
   ObsSession(std::string trace_path, std::string metrics_path,
              std::uint64_t trace_cap_events = 0);
   explicit ObsSession(ObsSessionOptions options);

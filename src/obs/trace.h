@@ -1,21 +1,26 @@
 #pragma once
-// Scoped tracing spans with per-thread lock-free ring buffers.
+// Scoped tracing spans over one per-thread event ring.
 //
 // Two collection levels, both runtime-switchable:
 //   * phase accumulation (set_enabled, default on): every APA_TRACE_SCOPE adds
 //     its duration to a named atomic accumulator — the per-phase time
 //     breakdowns in EpochStats and the telemetry JSONL come from these;
-//   * ring recording (set_tracing, default off): spans additionally append a
-//     TraceEvent to the calling thread's ring buffer for Chrome-trace export
-//     (obs/trace_export.h). Rings are single-producer (the owning thread) and
-//     drained at export time, so recording takes no lock.
+//   * ring recording: every finished span also lands in the calling thread's
+//     event ring (obs/flight.cpp), the one ring behind two views. The flight
+//     recorder (obs/flight.h) always reads the newest 4096 spans and notes;
+//     with tracing on (set_tracing, default off) the ring grows to
+//     trace_capacity() and trace_events() exports the traced spans and flows
+//     as a Chrome trace (obs/trace_export.h). Rings are single-producer (the
+//     owning thread), drained at export time, and recycled when their thread
+//     exits, so recording takes no lock and memory is bounded by live threads.
 //
 // Distributed correlation (docs/OBSERVABILITY.md §Trace context): a thread can
-// declare the worker rank it acts for (set_thread_rank), ring sends/receives
-// record paired flow events (APA_TRACE_FLOW_OUT/IN) keyed by a span id carried
-// in the dist::Message trace context, and clock_mark() publishes a per-rank
-// barrier timestamp that tools/obs/trace_merge uses to align N per-rank trace
-// files onto one timeline.
+// declare the worker rank it acts for (set_thread_rank; each recorded event
+// carries it), ring sends/receives record paired flow events
+// (APA_TRACE_FLOW_OUT/IN) keyed by a span id carried in the dist::Message
+// trace context, and clock_mark() publishes a per-rank barrier timestamp that
+// tools/obs/trace_merge uses to align N per-rank trace files onto one
+// timeline.
 //
 // Configuring with -DAPAMM_OBS=OFF compiles every macro to a no-op with zero
 // runtime cost; the query functions below remain callable and return empty.
@@ -45,15 +50,16 @@ struct PhaseTotal {
   std::uint64_t count = 0;
 };
 
-/// What a recorded event represents in the Chrome trace: a duration slice or
-/// one side of a cross-worker flow arrow (ring send -> ring receive).
-enum class TraceEventKind : std::uint8_t { kSpan = 0, kFlowOut = 1, kFlowIn = 2 };
+/// What a recorded event represents: a duration slice, one side of a
+/// cross-worker flow arrow (ring send -> ring receive), or a flight_note
+/// breadcrumb (flight view only; never in trace_events()).
+enum class TraceEventKind : std::uint8_t { kSpan, kFlowOut, kFlowIn, kNote };
 
 /// One recorded span, flattened for export and tests.
 struct TraceEventView {
   std::string name;
   std::int64_t id = -1;  ///< APA_TRACE_SCOPE_ID payload / flow id; -1 when absent
-  int tid = 0;           ///< registration-order thread index
+  int tid = 0;           ///< ring slot; sequential threads may share one
   int rank = -1;         ///< worker rank declared via set_thread_rank, -1 = none
   TraceEventKind kind = TraceEventKind::kSpan;
   std::uint64_t start_ns = 0;
@@ -72,8 +78,8 @@ void set_enabled(bool on);
 void set_tracing(bool on);
 [[nodiscard]] bool tracing();
 
-/// Declares the dist worker rank the calling thread acts for; recorded events
-/// from this thread carry the rank so per-rank trace files can be split out.
+/// Declares the dist worker rank the calling thread acts for; events the thread
+/// records from now on carry the rank so per-rank trace files can be split out.
 /// Threads that never call this stay at rank -1 (exported with rank 0's file).
 void set_thread_rank(int rank);
 /// The calling thread's declared rank, or -1.
@@ -87,13 +93,17 @@ void clock_mark(int rank);
 [[nodiscard]] std::vector<ClockMark> clock_marks();
 void reset_clock_marks();
 
-/// Bounds ring retention to `events_per_thread` spans (default 64Ki; clamped
-/// to >= 1). Safe to call while other threads are actively recording: the
-/// resize only bumps a global generation — each producer lazily swaps its own
-/// ring to the new bound on its next record, and drains treat rings from an
-/// older generation as empty. Events recorded before the resize are discarded.
+/// Bounds a ring (re)sized while tracing is on to `events_per_thread` events
+/// (default 64Ki; clamped to >= 1); a ring sized while tracing is off holds
+/// the flight view's 4096. Safe to call while other threads are actively
+/// recording: the resize only bumps a global generation — each producer
+/// lazily swaps its own ring to the new bound on its next record, and trace
+/// drains treat rings from an older generation as empty. Events recorded
+/// before the resize are discarded. Turning tracing on bumps the generation
+/// the same way; turning it off does not, so what was traced stays
+/// exportable.
 void set_trace_capacity(std::uint64_t events_per_thread);
-/// Current per-thread ring bound, or 0 when compiled out.
+/// Current traced-ring bound, or 0 when compiled out.
 [[nodiscard]] std::uint64_t trace_capacity();
 
 /// Phase accumulator snapshot: merged by name, sorted by name.
@@ -103,11 +113,13 @@ void set_trace_capacity(std::uint64_t events_per_thread);
     const std::vector<PhaseTotal>& after, const std::vector<PhaseTotal>& before);
 void reset_phases();
 
-/// Snapshot of every thread's ring, ordered by (tid, start). Call while span
-/// producers are quiescent — rings are drained without stopping writers.
+/// The traced spans and flows of every ring, ordered by (tid, start). Call
+/// while span producers are quiescent — rings are drained without stopping
+/// writers.
 [[nodiscard]] std::vector<TraceEventView> trace_events();
-/// Events lost to ring wrap-around since the last reset.
+/// Entries lost to ring wrap-around since the last reset or resize.
 [[nodiscard]] std::uint64_t trace_dropped();
+/// Empties every ring — the flight view's too (producers must be quiescent).
 void reset_trace();
 
 #if defined(APAMM_OBS_ENABLED)
@@ -123,8 +135,11 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-void record_event(const char* name, std::int64_t id, std::uint64_t start_ns,
-                  std::uint64_t dur_ns, TraceEventKind kind);
+/// Appends one entry to the calling thread's ring. Spans carry (id, dur_ns)
+/// in (a, b) and their start in t_ns; flows carry their id in a; notes carry
+/// their two payloads.
+void record_event(const char* name, std::int64_t a, std::int64_t b,
+                  std::uint64_t t_ns, TraceEventKind kind);
 }  // namespace detail
 
 /// Named span accumulator. Interned once per name (APA_TRACE_SCOPE caches the
@@ -148,8 +163,8 @@ class Phase {
   std::atomic<std::uint64_t> count_{0};
 };
 
-/// RAII span: times the enclosing scope into `phase`, and into the thread's
-/// ring when tracing is on. Dormant cost (collection disabled) is one relaxed
+/// RAII span: times the enclosing scope into `phase` and into the thread's
+/// event ring. Dormant cost (collection disabled) is one relaxed
 /// atomic load.
 class Span {
  public:
@@ -178,8 +193,8 @@ class Span {
 /// the Message trace-context span id.
 inline void record_flow(Phase* phase, std::uint64_t id, bool out) {
   if (!detail::g_tracing.load(std::memory_order_relaxed)) return;
-  detail::record_event(phase->name(), static_cast<std::int64_t>(id),
-                       detail::now_ns(), 0,
+  detail::record_event(phase->name(), static_cast<std::int64_t>(id), 0,
+                       detail::now_ns(),
                        out ? TraceEventKind::kFlowOut : TraceEventKind::kFlowIn);
 }
 

@@ -26,8 +26,7 @@ struct TraceExportOptions {
 };
 
 /// The recorded spans as a complete Chrome-trace JSON document ("X" duration
-/// events plus "s"/"f" flow events, one pid, tids in thread-registration
-/// order). Always valid JSON — an empty recording (or an APAMM_OBS=OFF build)
+/// events plus "s"/"f" flow events, one pid, one tid per ring slot). Always valid JSON — an empty recording (or an APAMM_OBS=OFF build)
 /// yields an empty event list.
 [[nodiscard]] std::string chrome_trace_json();
 [[nodiscard]] std::string chrome_trace_json(const TraceExportOptions& options);

@@ -1,5 +1,6 @@
-// Flight recorder: per-thread black-box rings, the span mirror, ring bounds,
-// and the postmortem dump files (schema, arming, coalescing). The dump path
+// Flight recorder: the flight view of the per-thread event rings, ring
+// bounds, ring recycling across thread exits, per-entry ranks, and the
+// postmortem dump files (schema, arming, coalescing). The dump path
 // itself is async-signal-safe by construction; here we drive it from normal
 // code and validate what lands on disk. Skips (but still compiles) under
 // APAMM_OBS=OFF, where every entry point is a no-op.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
@@ -73,13 +75,11 @@ class FlightTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::set_enabled(true);
-    obs::set_flight_enabled(true);
     obs::set_flight_dir("");  // disarm: no test dumps unless it opts in
     obs::reset_flight();
   }
   void TearDown() override {
     obs::set_flight_dir("");
-    obs::set_flight_enabled(true);
     obs::reset_flight();
   }
 };
@@ -125,26 +125,13 @@ TEST_F(FlightTest, FinishedSpansMirrorIntoTheRing) {
   EXPECT_TRUE(found) << "span did not mirror into the flight ring";
 }
 
-TEST_F(FlightTest, DisablingTheMirrorKeepsExplicitNotes) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
-  obs::set_flight_enabled(false);
-  EXPECT_FALSE(obs::flight_enabled());
-  {
-    APA_TRACE_SCOPE("test.flight_muted");
-  }
-  obs::flight_note("test.flight_note_anyway", 1);
-  const auto events = obs::flight_events();
-  EXPECT_EQ(count_tag(events, "test.flight_muted"), 0);
-  EXPECT_EQ(count_tag(events, "test.flight_note_anyway"), 1);
-}
-
 TEST_F(FlightTest, RingBoundKeepsOnlyTheNewestEvents) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
-  // Capacity applies to rings allocated after the call, so record from a
-  // fresh thread whose ring is born with the small bound.
-  const std::uint64_t original = obs::flight_capacity();
-  obs::set_flight_capacity(8);
-  EXPECT_EQ(obs::flight_capacity(), 8u);
+  // The trace capacity bounds a ring sized while tracing is on; the bump
+  // makes the recorder size its ring on its first note.
+  const std::uint64_t original = obs::trace_capacity();
+  obs::set_tracing(true);
+  obs::set_trace_capacity(8);
   std::thread recorder([] {
     for (int i = 0; i < 20; ++i) {
       obs::flight_note("test.flight_cap", i);
@@ -160,15 +147,76 @@ TEST_F(FlightTest, RingBoundKeepsOnlyTheNewestEvents) {
   for (std::size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], static_cast<std::int64_t>(12 + i));
   }
-  obs::set_flight_capacity(original);
+  obs::set_trace_capacity(original);
+  obs::set_tracing(false);
 }
 
-TEST_F(FlightTest, CapacityClampsToOne) {
+TEST_F(FlightTest, RingsOfExitedThreadsAreRecycledNotLeaked) {
   if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
-  const std::uint64_t original = obs::flight_capacity();
-  obs::set_flight_capacity(0);
-  EXPECT_EQ(obs::flight_capacity(), 1u);
-  obs::set_flight_capacity(original);
+  // More sequential threads than there are ring slots: each exiting thread
+  // hands its ring to the next, so the late threads still record and the
+  // churn reuses a lane instead of claiming a new ring per thread.
+  constexpr int kChurn = 300;
+  for (int i = 0; i < kChurn; ++i) {
+    std::thread worker([i] {
+      { APA_TRACE_SCOPE("test.churn_span"); }
+      obs::flight_note("test.churn_note", i);
+    });
+    worker.join();
+  }
+  std::vector<int> tids;
+  bool saw_last = false;
+  for (const auto& e : obs::flight_events()) {
+    if (e.tag != "test.churn_note") continue;
+    saw_last = saw_last || e.a == kChurn - 1;
+    if (std::find(tids.begin(), tids.end(), e.tid) == tids.end()) {
+      tids.push_back(e.tid);
+    }
+  }
+  EXPECT_TRUE(saw_last) << "note from the last churned thread was lost";
+  EXPECT_LE(tids.size(), 2u);
+}
+
+TEST_F(FlightTest, RecycledRingKeepsEachEntrysRank) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
+  const fs::path dir = make_temp_dir("apamm_flight_rank_test_");
+  obs::set_tracing(true);
+  obs::reset_trace();
+  // Two sequential threads share one recycled ring; each entry must keep the
+  // rank its own thread declared.
+  for (const int rank : {1, 0}) {
+    std::thread worker([rank] {
+      obs::set_thread_rank(rank);
+      APA_TRACE_SCOPE_ID("test.rank_span", rank);
+      obs::flight_note(rank == 1 ? "test.rank1_note" : "test.rank0_note");
+    });
+    worker.join();
+  }
+  obs::set_tracing(false);
+  std::vector<int> tids;
+  for (const auto& e : obs::trace_events()) {
+    if (e.name != "test.rank_span") continue;
+    EXPECT_EQ(e.rank, e.id) << "span attributed to the wrong rank";
+    tids.push_back(e.tid);
+  }
+  ASSERT_EQ(tids.size(), 2u);
+  EXPECT_EQ(tids[0], tids[1]) << "the second thread did not adopt the ring";
+
+  obs::set_flight_dir(dir.string());
+  EXPECT_EQ(obs::flight_dump("rank_test"), 2);
+  obs::set_flight_dir("");
+  const std::string rank0 = slurp(dir / "flight_0.json");
+  const std::string rank1 = slurp(dir / "flight_1.json");
+  EXPECT_TRUE(balanced_json(rank0));
+  EXPECT_TRUE(balanced_json(rank1));
+  EXPECT_NE(rank1.find("\"tag\":\"test.rank1_note\""), std::string::npos);
+  EXPECT_EQ(rank1.find("\"tag\":\"test.rank0_note\""), std::string::npos);
+  EXPECT_NE(rank0.find("\"tag\":\"test.rank0_note\""), std::string::npos);
+  EXPECT_EQ(rank0.find("\"tag\":\"test.rank1_note\""), std::string::npos);
+  EXPECT_NE(rank1.find("\"kind\":\"span\",\"id\":1,"), std::string::npos);
+  EXPECT_NE(rank0.find("\"kind\":\"span\",\"id\":0,"), std::string::npos);
+  EXPECT_EQ(rank0.find("\"kind\":\"span\",\"id\":1,"), std::string::npos);
+  fs::remove_all(dir);
 }
 
 TEST_F(FlightTest, DumpIsDisarmedUntilADirectoryIsNamed) {
@@ -222,15 +270,10 @@ TEST_F(FlightTest, ResetEmptiesEveryRing) {
 TEST_F(FlightTest, CompiledOutBuildStaysCallable) {
   // The OFF stubs must accept every call without effect; in ON builds this
   // just exercises the getters.
-  if (obs::kCompiledIn) {
-    EXPECT_GT(obs::flight_capacity(), 0u);
-    return;
-  }
+  if (obs::kCompiledIn) return;
   obs::flight_note("test.off", 1, 2);
   EXPECT_EQ(obs::flight_dump("off"), 0);
   EXPECT_TRUE(obs::flight_events().empty());
-  EXPECT_FALSE(obs::flight_enabled());
-  EXPECT_EQ(obs::flight_capacity(), 0u);
 }
 
 }  // namespace

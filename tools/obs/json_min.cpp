@@ -7,6 +7,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace apa::obstools {
 namespace {
 
@@ -206,29 +208,6 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void append_quoted(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_json(const JsonValue& v, std::string& out) {
   switch (v.kind) {
     case JsonValue::Kind::kNull:
@@ -250,7 +229,7 @@ void append_json(const JsonValue& v, std::string& out) {
       return;
     }
     case JsonValue::Kind::kString:
-      append_quoted(v.str, out);
+      out += obs::json_quote(v.str);
       return;
     case JsonValue::Kind::kArray: {
       out += '[';
@@ -269,7 +248,7 @@ void append_json(const JsonValue& v, std::string& out) {
       for (const auto& [key, member] : v.object) {
         if (!first) out += ',';
         first = false;
-        append_quoted(key, out);
+        out += obs::json_quote(key);
         out += ": ";
         append_json(member, out);
       }
