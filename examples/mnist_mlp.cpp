@@ -187,7 +187,8 @@ int main(int argc, char** argv) {
           stats.initial_workers, stats.final_workers, stats.rollbacks,
           stats.rollbacks_bit_exact ? "yes" : "NO", stats.seconds);
       if (stats.faults_killed + stats.faults_grad_corrupted +
-              stats.faults_shard_corrupted >
+              stats.faults_shard_corrupted + stats.messages_dropped +
+              stats.messages_corrupted >
           0) {
         std::printf(
             "          injected: %d kills, %d corrupt grads, %d corrupt "

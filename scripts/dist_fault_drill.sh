@@ -5,9 +5,11 @@
 # (b) performs a distributed-consistent rollback verified bit-exact, (c)
 # degrades to the surviving worker set and finishes, and (d) lands within an
 # accuracy tolerance of the control run. See docs/ROBUSTNESS.md for the
-# protocol being exercised.
+# protocol being exercised. A message-fault run (payloads corrupted and
+# dropped in flight) must then be repaired by checksum + resend and finish
+# with exactly the control run's accuracy.
 #
-# A third, fully-instrumented postmortem run then proves the observability
+# A final, fully-instrumented postmortem run then proves the observability
 # pipeline end-to-end (docs/OBSERVABILITY.md): per-rank Chrome traces with the
 # clock-sync handshake, per-rank metrics JSONL, flight-recorder dumps fired by
 # the injected kill, a live Prometheus snapshot, and tools/obs/trace_merge
@@ -59,6 +61,30 @@ awk -v c="$clean_acc" -v f="$fault_acc" -v tol="$TOLERANCE" 'BEGIN {
 
 echo "DRILL PASSED: kill + corrupt detected, rollback bit-exact, degraded to survivors,"
 echo "final accuracy $fault_acc vs fault-free $clean_acc (tolerance $TOLERANCE)"
+echo
+
+# ---------------------------------------------------------------------------
+# Message-fault drill: payloads corrupted and dropped in flight. The transport
+# checksum must catch every corruption and the resend protocol must repair
+# every loss, so the run lands on exactly the control run's bytes.
+# ---------------------------------------------------------------------------
+MSG_FAULTS='corrupt-msg@0:3,drop@1:2'
+echo "== message-fault drill (inject: $MSG_FAULTS) =="
+"$BIN" "${ARGS[@]}" --shard-dir="$WORK/msgfault" --inject-fault="$MSG_FAULTS" \
+  | tee "$WORK/msgfault.log"
+echo
+
+grep -Eq 'repaired 2 dropped / ([3-9]|[1-9][0-9]+) corrupted messages' \
+  "$WORK/msgfault.log" \
+  || fail "2 drops and at least 3 checksum-detected corruptions should be repaired"
+grep -q 'bit-exact NO' "$WORK/msgfault.log" \
+  && fail "a rollback restore was not bit-exact across workers"
+msg_acc="$(grep -oE 'test-acc [0-9.]+' "$WORK/msgfault.log" | tail -1 | cut -d' ' -f2)"
+[ "$msg_acc" = "$clean_acc" ] \
+  || fail "repaired messages changed the result: test-acc $msg_acc vs control $clean_acc"
+
+echo "MESSAGE DRILL PASSED: drops and corruptions repaired, final accuracy"
+echo "$msg_acc identical to the fault-free control"
 echo
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@
 // messaging).
 //
 // Hardening, layered over the happy path:
-//   * every payload carries an FNV-1a checksum; a mismatch is treated exactly
+//   * every payload carries an XXH64 checksum; a mismatch is treated exactly
 //     like a dropped message,
 //   * a recv that times out sends the predecessor a kResend naming the
 //     (step, phase) it needs, paced by support/retry.h backoff; senders keep

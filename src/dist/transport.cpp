@@ -1,24 +1,37 @@
 #include "dist/transport.h"
 
+#include <array>
 #include <chrono>
 #include <thread>
 #include <utility>
 
-#include "nn/checkpoint_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/check.h"
+#include "support/hash.h"
 
 namespace apa::dist {
 
+namespace {
+
+// Hash of every header field a receiver acts on (kind, from, to, step, phase,
+// membership), widened to fixed-size words so struct padding never leaks in.
+std::uint64_t header_hash(const Message& m) {
+  const std::array<std::uint64_t, 6> words = {
+      static_cast<std::uint64_t>(m.kind),
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(m.from)),
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(m.to)),
+      m.step,
+      m.phase,
+      m.membership};
+  return hash64(words.data(), sizeof(words));
+}
+
+}  // namespace
+
 std::uint64_t Message::compute_checksum() const {
-  std::uint64_t hash = nn::ckpt::fnv1a(&kind, sizeof(kind));
-  hash = nn::ckpt::fnv1a(&step, sizeof(step), hash);
-  hash = nn::ckpt::fnv1a(&phase, sizeof(phase), hash);
-  if (!payload.empty()) {
-    hash = nn::ckpt::fnv1a(payload.data(), payload.size() * sizeof(float), hash);
-  }
-  return hash;
+  return hash64(payload.data(), payload.size() * sizeof(float),
+                header_hash(*this));
 }
 
 void Mailbox::push(Message message) {
@@ -88,13 +101,7 @@ void LocalTransport::send(Message message) {
   // derives the same id and the flow arrow stays paired across repairs.
   if (message.trace.origin < 0) message.trace.origin = message.from;
   if (message.trace.span_id == 0) {
-    std::uint64_t hash = nn::ckpt::fnv1a(&message.kind, sizeof(message.kind));
-    hash = nn::ckpt::fnv1a(&message.from, sizeof(message.from), hash);
-    hash = nn::ckpt::fnv1a(&message.to, sizeof(message.to), hash);
-    hash = nn::ckpt::fnv1a(&message.step, sizeof(message.step), hash);
-    hash = nn::ckpt::fnv1a(&message.phase, sizeof(message.phase), hash);
-    hash = nn::ckpt::fnv1a(&message.membership, sizeof(message.membership),
-                           hash);
+    const std::uint64_t hash = header_hash(message);
     message.trace.span_id = hash != 0 ? hash : 1;
   }
   if (message.kind == MsgKind::kChunk) {

@@ -45,10 +45,11 @@ struct Message {
   std::uint64_t membership = 0;  ///< sender's membership version
   TraceCtx trace;                ///< (rank, step, rewind-round, span-id) context
   std::vector<float> payload;
-  std::uint64_t checksum = 0;  ///< FNV-1a over payload bytes, set by send
+  std::uint64_t checksum = 0;  ///< XXH64 over header + payload, set by send
 
   [[nodiscard]] std::uint64_t compute_checksum() const;
-  /// False when the payload does not hash to `checksum` (bit rot in flight).
+  /// False when header or payload does not hash to `checksum` (bit rot in
+  /// flight).
   [[nodiscard]] bool checksum_ok() const {
     return checksum == compute_checksum();
   }

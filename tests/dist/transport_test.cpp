@@ -33,6 +33,11 @@ TEST(MessageChecksum, CoversHeaderFields) {
   EXPECT_NE(a.compute_checksum(), b.compute_checksum());
   Message c = make_chunk(0, 1, 3, 5);  // different phase
   EXPECT_NE(a.compute_checksum(), c.compute_checksum());
+  Message d = make_chunk(2, 1, 3, 2);  // different sender (routes resends)
+  EXPECT_NE(a.compute_checksum(), d.compute_checksum());
+  Message e = make_chunk(0, 1, 3, 2);  // different membership (stale drop)
+  e.membership = 1;
+  EXPECT_NE(a.compute_checksum(), e.compute_checksum());
 }
 
 TEST(Mailbox, DeliversInOrder) {
