@@ -11,7 +11,7 @@ cmake --build build >/dev/null
 
 # Gate the reproduction on the rule linter: every coefficient table the runs
 # below depend on is re-verified symbolically (Brent equations, sigma/phi
-# metadata, generated-kernel drift) before any numbers are produced.
+# metadata, duplicate-factor scan) before any numbers are produced.
 echo "== rule_lint =="
 ./build/tools/rule_lint | tee results/rule_lint.txt
 

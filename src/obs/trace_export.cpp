@@ -91,7 +91,7 @@ std::string chrome_trace_json(const TraceExportOptions& options) {
     out += buf;
   }
   for (int tid = 0; tid <= max_tid && !selected.empty(); ++tid) {
-    char buf[96];
+    char buf[128];  // 84 literal chars + two %d of up to 11 chars each
     std::snprintf(buf, sizeof(buf),
                   ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
                   "\"tid\": %d, \"args\": {\"name\": \"worker %d\"}}",

@@ -47,7 +47,9 @@ TEST(RenderDigit, EightIsSupersetOfZero) {
   render_digit(8, eight.view());
   for (index_t i = 0; i < kImageSide; ++i) {
     for (index_t j = 0; j < kImageSide; ++j) {
-      if (zero(i, j) > 0) EXPECT_GT(eight(i, j), 0.0f);
+      if (zero(i, j) > 0) {
+        EXPECT_GT(eight(i, j), 0.0f);
+      }
     }
   }
 }

@@ -48,7 +48,7 @@ TEST(ShardFor, PositionInLiveSetPicksPartition) {
   EXPECT_EQ(r0.end, r2.begin);
   EXPECT_EQ(r2.end, r3.begin);
   EXPECT_EQ(r3.end, 90);
-  EXPECT_THROW(shard_for(90, live, 1), ApaError);
+  EXPECT_THROW((void)shard_for(90, live, 1), ApaError);
 }
 
 TEST(ShardLoader, BatchesAreDeterministicPerStep) {

@@ -1,7 +1,7 @@
 // apamm-lint rule linter CLI (see rule_lint.h for the rule catalog).
 //
-//   ./build/tools/rule_lint                        # catalog + rules/ + drift
-//   ./build/tools/rule_lint --rules-dir=rules --generated-dir=src/generated
+//   ./build/tools/rule_lint                        # catalog + rules/
+//   ./build/tools/rule_lint --rules-dir=rules
 //   ./build/tools/rule_lint path/to/table.rule     # lint specific files only
 //
 // Exit status: 0 clean (warnings allowed unless --strict), 1 errors found,
@@ -76,10 +76,6 @@ int main(int argc, char** argv) {
     std::sort(rule_files.begin(), rule_files.end());
     for (const fs::path& path : rule_files) {
       run(path.string().c_str(), lint::lint_rule_file(path.string()));
-    }
-    const std::string generated_dir = args.get("generated-dir", "src/generated");
-    if (!generated_dir.empty()) {
-      run("generated-code drift", lint::lint_generated(generated_dir));
     }
   }
 

@@ -1,7 +1,6 @@
 #include "lint/rule_lint.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -9,7 +8,6 @@
 
 #include <cstdio>
 
-#include "core/codegen.h"
 #include "core/guard.h"
 #include "core/params.h"
 #include "core/registry.h"
@@ -359,71 +357,6 @@ std::string bounds_json() {
   }
   os << "\n]}\n";
   return os.str();
-}
-
-std::vector<Finding> lint_generated(const std::string& generated_dir) {
-  namespace fs = std::filesystem;
-  std::vector<Finding> out;
-  std::error_code ec;
-  fs::directory_iterator dir(generated_dir, ec);
-  if (ec) {
-    add(out, Severity::kError, "generated-drift", generated_dir,
-        "cannot open directory: " + ec.message());
-    return out;
-  }
-
-  std::vector<fs::path> files;
-  for (const auto& entry : dir) {
-    if (entry.path().filename().string().ends_with("_generated.cpp")) {
-      files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& path : files) {
-    const std::string filename = path.filename().string();
-    const std::string algo =
-        filename.substr(0, filename.size() - std::string("_generated.cpp").size());
-    if (!core::has_algorithm(algo)) {
-      add(out, Severity::kWarning, "generated-drift", path.string(),
-          "no registry algorithm named '" + algo + "' to regenerate from");
-      continue;
-    }
-    const Rule& rule = core::rule_by_name(algo);
-    // Same lambda policy as examples/codegen_tool: exact rules at lambda = 1,
-    // APA rules at the single-precision optimum.
-    const core::AlgorithmParams params = core::analyze(rule);
-    core::CodegenOptions options;
-    options.lambda =
-        params.exact ? 1.0 : params.optimal_lambda(core::kPrecisionBitsSingle);
-    const std::string regenerated = core::generate_cpp(rule, options);
-
-    std::ifstream in(path);
-    std::stringstream committed;
-    committed << in.rdbuf();
-    if (committed.str() == regenerated) continue;
-
-    // Locate the first differing line for a precise diagnostic.
-    std::istringstream a(committed.str()), b(regenerated);
-    std::string la, lb;
-    int line_no = 0;
-    while (true) {
-      ++line_no;
-      const bool got_a = static_cast<bool>(std::getline(a, la));
-      const bool got_b = static_cast<bool>(std::getline(b, lb));
-      if (!got_a && !got_b) break;
-      if (la != lb || got_a != got_b) break;
-    }
-    add(out, Severity::kError, "generated-drift", path.string(),
-        "committed file differs from codegen output at line " +
-            std::to_string(line_no) + " (committed: '" + la +
-            "', regenerated: '" + lb + "'); refresh with ./build/examples/" +
-            "codegen_tool --algo=" + algo + " --out=" + path.string());
-  }
-  if (files.empty()) {
-    add(out, Severity::kError, "generated-drift", generated_dir,
-        "no *_generated.cpp files found — wrong --generated-dir?");
-  }
-  return out;
 }
 
 bool has_errors(const std::vector<Finding>& findings) {

@@ -18,7 +18,6 @@
 //   duplicate-product  two products with proportional A- AND B-factors
 //   duplicate-factor   two products sharing a proportional single-side factor
 //                      in a rule that fails Brent (the M9/M10 defect class)
-//   generated-drift    committed src/generated/*.cpp differs from regeneration
 //
 // Single-side duplicate factors are legal in valid rules (classical shares
 // them by construction), so `duplicate-factor` only fires as supporting
@@ -92,11 +91,6 @@ struct RuleBound {
 /// The same table rendered as a machine-readable JSON array — the
 /// `rule_lint --bounds-json=PATH` payload consumed by health_report.
 [[nodiscard]] std::string bounds_json();
-
-/// Regenerates each committed kernel in `generated_dir` through core::codegen
-/// with the same lambda policy as examples/codegen_tool and byte-diffs it
-/// against the file on disk.
-[[nodiscard]] std::vector<Finding> lint_generated(const std::string& generated_dir);
 
 [[nodiscard]] bool has_errors(const std::vector<Finding>& findings);
 
