@@ -10,9 +10,8 @@
 #   compiler defaults to $CXX, then c++. Exit 0 when every header passes,
 #   1 otherwise (each failing header's first diagnostics are printed).
 #
-# The TU is compiled with the same standard as the build and with the obs
-# layer enabled (its macros add include requirements of their own); syntax
-# only, so the gate runs in seconds with no build tree.
+# The TU is compiled with the same standard as the build; syntax only, so the
+# gate runs in seconds with no build tree.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -24,7 +23,7 @@ for header in $(find src -name '*.h' | sort); do
   checked=$((checked + 1))
   if ! printf '#include "%s"\n' "${header#src/}" |
     "$compiler" -std=c++20 -fsyntax-only -x c++ -I src \
-      -DAPAMM_OBS_ENABLED=1 - 2>/tmp/header_selfcontain_err.$$; then
+      - 2>/tmp/header_selfcontain_err.$$; then
     fails=$((fails + 1))
     echo "NOT SELF-CONTAINED: $header"
     head -n 12 /tmp/header_selfcontain_err.$$ | sed 's/^/    /'

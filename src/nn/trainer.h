@@ -37,7 +37,7 @@ struct EpochStats {
   bool guarded = false;
   GuardStats guard;
   /// Per-phase time breakdown accumulated by APA_TRACE_SCOPE spans during the
-  /// epoch (delta of obs::phase_totals). Empty in APAMM_OBS=OFF builds.
+  /// epoch (delta of obs::phase_totals). Empty while obs is disabled.
   std::vector<obs::PhaseTotal> phases;
 };
 

@@ -7,8 +7,6 @@
 
 #include "obs/trace.h"
 
-#if defined(APAMM_OBS_ENABLED)
-
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
@@ -23,11 +21,7 @@
 
 #include "support/check.h"
 
-#endif
-
 namespace apa::obs {
-
-#if defined(APAMM_OBS_ENABLED)
 
 namespace detail {
 
@@ -479,6 +473,7 @@ std::string flight_dir() {
 }
 
 void flight_note(const char* tag, std::int64_t a, std::int64_t b) {
+  if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
   detail::record_event(tag, a, b, detail::now_ns(), TraceEventKind::kNote);
 }
 
@@ -528,26 +523,5 @@ std::vector<FlightEventView> flight_events() {
   });
   return out;
 }
-
-#else  // !APAMM_OBS_ENABLED
-
-void set_tracing(bool) {}
-bool tracing() { return false; }
-void set_trace_capacity(std::uint64_t) {}
-std::uint64_t trace_capacity() { return 0; }
-void set_thread_rank(int) {}
-int thread_rank() { return -1; }
-std::vector<TraceEventView> trace_events() { return {}; }
-std::uint64_t trace_dropped() { return 0; }
-void reset_trace() {}
-void reset_flight() {}
-void set_flight_dir(const std::string&) {}
-std::string flight_dir() { return {}; }
-void flight_note(const char*, std::int64_t, std::int64_t) {}
-int flight_dump(const char*) { return 0; }
-void install_flight_triggers() {}
-std::vector<FlightEventView> flight_events() { return {}; }
-
-#endif  // APAMM_OBS_ENABLED
 
 }  // namespace apa::obs

@@ -49,14 +49,13 @@ void set_flight_dir(const std::string& dir);
 [[nodiscard]] std::string flight_dir();
 
 /// Appends a breadcrumb with two payload integers (step, ratio-in-ppm, ...)
-/// to the calling thread's ring. `tag` must be a string literal or otherwise
-/// outlive the process.
+/// to the calling thread's ring; dropped while obs::enabled() is false. `tag`
+/// must be a string literal or otherwise outlive the process.
 void flight_note(const char* tag, std::int64_t a = 0, std::int64_t b = 0);
 
 /// Writes flight_<rank>.json for every rank with recorded events into the
 /// configured directory, grouping entries by the rank each was recorded
-/// under. Returns the number of files written (0 when no dir is configured or
-/// compiled out). Async-signal-safe; `reason` must be a string literal.
+/// under. Returns the number of files written (0 when no dir is configured). Async-signal-safe; `reason` must be a string literal.
 /// Concurrent dumps coalesce: the loser returns 0.
 int flight_dump(const char* reason);
 

@@ -10,8 +10,6 @@
 
 namespace apa::obs {
 
-#if defined(APAMM_OBS_ENABLED)
-
 struct HealthMonitor::Impl {
   using Key = std::tuple<std::string, long long, long long, long long>;
 
@@ -52,6 +50,7 @@ HealthMonitor::~HealthMonitor() { delete impl_; }
 
 void HealthMonitor::record(const char* algo, long long m, long long k,
                            long long n, double ratio, double bound) {
+  if (!enabled()) return;
   APA_COUNTER_INC("health.samples");
   MutexLock lock(impl_->mu);
   const HealthOptions& opt = impl_->options;
@@ -134,24 +133,6 @@ void HealthMonitor::reset() {
   impl_->streams.clear();
   impl_->flagged = 0;
 }
-
-#else  // !APAMM_OBS_ENABLED
-
-HealthMonitor::HealthMonitor(HealthOptions) : impl_(nullptr) {}
-HealthMonitor::~HealthMonitor() = default;
-void HealthMonitor::record(const char*, long long, long long, long long,
-                           double, double) {}
-bool HealthMonitor::drifting(long long, long long, long long) const {
-  return false;
-}
-std::uint64_t HealthMonitor::drifting_count() const { return 0; }
-std::vector<ShapeHealth> HealthMonitor::snapshot() const { return {}; }
-void HealthMonitor::emit_all(const char*) {}
-void HealthMonitor::attach(TelemetrySink*) {}
-void HealthMonitor::set_options(const HealthOptions&) {}
-void HealthMonitor::reset() {}
-
-#endif  // APAMM_OBS_ENABLED
 
 HealthMonitor& health() {
   static HealthMonitor* monitor = new HealthMonitor();  // leaked: process-global

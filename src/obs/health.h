@@ -15,7 +15,7 @@
 //     tools/obs/health_report, which renders the drift table against the
 //     catalog bounds exported by rule_lint --bounds-json.
 //
-// Thread-safe; compiled to no-ops under -DAPAMM_OBS=OFF.
+// Thread-safe; record() is a no-op while obs::set_enabled(false).
 
 #include <cstdint>
 #include <string>
@@ -60,6 +60,7 @@ class HealthMonitor {
   /// Feeds one guard verification: `ratio` is GuardReport::worst_ratio,
   /// `bound` the λ-error bound the tolerance was derived from. Emits a
   /// `health` telemetry record on drift flips and every emit_every samples.
+  /// Dropped while obs::enabled() is false.
   void record(const char* algo, long long m, long long k, long long n,
               double ratio, double bound);
 
@@ -84,7 +85,7 @@ class HealthMonitor {
 
  private:
   struct Impl;
-  Impl* impl_;  // nullptr under APAMM_OBS=OFF
+  Impl* impl_;
 };
 
 /// The process-global monitor every GuardedBackend feeds.

@@ -4,6 +4,7 @@
 // only: the library never reads JSON back, so there is no reader here (the
 // postmortem tools parse what these helpers write with tools/obs/json_min).
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -43,7 +44,7 @@ inline std::string json_quote(std::string_view s) {
 /// A double as a JSON number; non-finite values (which JSON cannot represent)
 /// become null — a diverged loss must not corrupt the whole telemetry line.
 inline std::string json_double(double v) {
-  if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";
+  if (!std::isfinite(v)) return "null";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;

@@ -1,16 +1,12 @@
 #include "obs/metrics.h"
 
-#if defined(APAMM_OBS_ENABLED)
 #include <bit>
 #include <map>
 #include <memory>
 
 #include "support/thread_annotations.h"
-#endif
 
 namespace apa::obs {
-
-#if defined(APAMM_OBS_ENABLED)
 
 namespace {
 
@@ -120,14 +116,5 @@ void reset_counters() {
     for (auto& b : hist->buckets_) b.store(0, std::memory_order_relaxed);
   }
 }
-
-#else  // !APAMM_OBS_ENABLED
-
-std::vector<CounterSample> counter_samples() { return {}; }
-std::uint64_t counter_value(std::string_view) { return 0; }
-std::vector<HistogramSample> histogram_samples() { return {}; }
-void reset_counters() {}
-
-#endif  // APAMM_OBS_ENABLED
 
 }  // namespace apa::obs

@@ -4,20 +4,16 @@
 // Call sites use APA_COUNTER_INC / APA_COUNTER_ADD / APA_HISTOGRAM_RECORD: the
 // registry lookup happens once per call site (function-local static), so the
 // hot path is one relaxed atomic add gated on obs::enabled(). Snapshots merge
-// by name across call sites. Compiled out entirely under -DAPAMM_OBS=OFF; the
-// snapshot/query functions stay callable and return empty/zero.
+// by name across call sites.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"  // kCompiledIn, enabled()
-
-#if defined(APAMM_OBS_ENABLED)
-#include <atomic>
-#endif
+#include "obs/trace.h"  // enabled()
 
 namespace apa::obs {
 
@@ -42,8 +38,6 @@ struct HistogramSample {
 [[nodiscard]] std::vector<HistogramSample> histogram_samples();
 /// Zeroes every counter and histogram (names stay interned).
 void reset_counters();
-
-#if defined(APAMM_OBS_ENABLED)
 
 class Counter {
  public:
@@ -101,21 +95,5 @@ class Histogram {
     if (::apa::obs::enabled())                                                \
       apa_obs_hist->record(static_cast<std::uint64_t>(value));                \
   } while (false)
-
-#else  // !APAMM_OBS_ENABLED
-
-#define APA_COUNTER_ADD(name, n) \
-  do {                           \
-    (void)sizeof((n));           \
-  } while (false)
-#define APA_COUNTER_INC(name) \
-  do {                        \
-  } while (false)
-#define APA_HISTOGRAM_RECORD(name, value) \
-  do {                                    \
-    (void)sizeof((value));                \
-  } while (false)
-
-#endif  // APAMM_OBS_ENABLED
 
 }  // namespace apa::obs

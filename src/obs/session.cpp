@@ -34,11 +34,6 @@ ObsSession::ObsSession(ObsSessionOptions options)
     : options_(std::move(options)) {
   options_.ranks = std::max(options_.ranks, 1);
   if (!options_.trace_path.empty()) {
-    if (!kCompiledIn) {
-      std::fprintf(stderr,
-                   "obs: built with APAMM_OBS=OFF — %s will contain no spans\n",
-                   options_.trace_path.c_str());
-    }
     // Resize before recording starts so no pre-session events are discarded
     // (set_trace_capacity itself is safe against concurrent recorders).
     if (options_.trace_cap_events > 0) {

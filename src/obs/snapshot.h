@@ -9,8 +9,6 @@
 // combine bandwidth = core.combine.bytes / core.combine_* phase seconds —
 // computed here directly from the obs registries so obs keeps zero dependency
 // on tune. Format details: docs/OBSERVABILITY.md §Metrics snapshot.
-//
-// Functional but empty-ish under APAMM_OBS=OFF (no samples to render).
 
 #include <string>
 

@@ -90,15 +90,17 @@ int telemetry_crash_flush_registered() {
   return count;
 }
 
-std::string JsonRecord::to_json() const {
-  std::string out = "{";
+std::string JsonRecord::to_json(std::string_view indent) const {
+  const std::string sep =
+      indent.empty() ? std::string(", ") : ",\n" + std::string(indent);
+  std::string out = indent.empty() ? "{" : "{\n" + std::string(indent);
   for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i > 0) out += ", ";
+    if (i > 0) out += sep;
     out += json_quote(fields_[i].first);
     out += ": ";
     out += fields_[i].second;
   }
-  out += "}";
+  out += indent.empty() ? "}" : "\n}";
   return out;
 }
 

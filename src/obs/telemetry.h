@@ -1,9 +1,9 @@
 #pragma once
 // Structured telemetry: an ordered JSON-object builder and a line-per-record
 // JSONL sink. Unlike the span/counter macros, the sink is explicit API and
-// stays fully functional in APAMM_OBS=OFF builds — a training run's loss
-// curve is observability the user asked for by passing --metrics-out, not
-// ambient instrumentation.
+// keeps writing while obs::set_enabled(false) — a training run's loss curve
+// is observability the user asked for by passing --metrics-out, not ambient
+// instrumentation.
 
 #include <cstdio>
 #include <string>
@@ -56,7 +56,9 @@ class JsonRecord {
     return *this;
   }
 
-  [[nodiscard]] std::string to_json() const;
+  /// One line by default; a non-empty `indent` puts each field on its own
+  /// line behind it (values are spliced as rendered).
+  [[nodiscard]] std::string to_json(std::string_view indent = {}) const;
 
  private:
   std::vector<std::pair<std::string, std::string>> fields_;
@@ -110,8 +112,7 @@ void install_telemetry_crash_flush();
 [[nodiscard]] int telemetry_crash_flush_registered();
 
 /// The current counter/histogram registry as one JsonRecord (type "counters"),
-/// with nested "counters" and "histograms" objects. Empty objects in
-/// APAMM_OBS=OFF builds.
+/// with nested "counters" and "histograms" objects.
 [[nodiscard]] JsonRecord counters_record();
 
 }  // namespace apa::obs

@@ -7,8 +7,6 @@
 
 namespace apa::obs {
 
-#if defined(APAMM_OBS_ENABLED)
-
 namespace detail {
 
 std::atomic<bool> g_enabled{true};
@@ -117,21 +115,5 @@ void reset_phases() {
     phase->count_.store(0, std::memory_order_relaxed);
   }
 }
-
-#else  // !APAMM_OBS_ENABLED
-
-void set_enabled(bool) {}
-bool enabled() { return false; }
-void clock_mark(int) {}
-std::vector<ClockMark> clock_marks() { return {}; }
-void reset_clock_marks() {}
-std::vector<PhaseTotal> phase_totals() { return {}; }
-std::vector<PhaseTotal> phase_delta(const std::vector<PhaseTotal>&,
-                                    const std::vector<PhaseTotal>&) {
-  return {};
-}
-void reset_phases() {}
-
-#endif  // APAMM_OBS_ENABLED
 
 }  // namespace apa::obs

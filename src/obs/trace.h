@@ -22,26 +22,18 @@
 // tools/obs/trace_merge uses to align N per-rank trace files onto one
 // timeline.
 //
-// Configuring with -DAPAMM_OBS=OFF compiles every macro to a no-op with zero
-// runtime cost; the query functions below remain callable and return empty.
+// obs::set_enabled(false) is the one off-switch: spans, flows, counters,
+// histograms, health samples and flight notes all stop recording, and each
+// instrumented call site costs one relaxed atomic load.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#if defined(APAMM_OBS_ENABLED)
-#include <atomic>
-#include <chrono>
-#endif
-
 namespace apa::obs {
-
-#if defined(APAMM_OBS_ENABLED)
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
 
 /// Merged totals for one span name — the unit of the per-phase breakdown.
 struct PhaseTotal {
@@ -72,7 +64,7 @@ struct ClockMark {
   std::uint64_t mark_ns = 0;
 };
 
-// Runtime controls. All are no-ops (and the getters constant) when compiled out.
+// Runtime controls.
 void set_enabled(bool on);
 [[nodiscard]] bool enabled();
 void set_tracing(bool on);
@@ -89,7 +81,7 @@ void set_thread_rank(int rank);
 /// same barrier". trace_merge subtracts the pairwise mark deltas to place N
 /// per-rank trace files on one aligned timeline. Last call per rank wins.
 void clock_mark(int rank);
-/// All published marks, sorted by rank. Empty when compiled out.
+/// All published marks, sorted by rank.
 [[nodiscard]] std::vector<ClockMark> clock_marks();
 void reset_clock_marks();
 
@@ -103,7 +95,7 @@ void reset_clock_marks();
 /// the same way; turning it off does not, so what was traced stays
 /// exportable.
 void set_trace_capacity(std::uint64_t events_per_thread);
-/// Current traced-ring bound, or 0 when compiled out.
+/// Current traced-ring bound.
 [[nodiscard]] std::uint64_t trace_capacity();
 
 /// Phase accumulator snapshot: merged by name, sorted by name.
@@ -121,8 +113,6 @@ void reset_phases();
 [[nodiscard]] std::uint64_t trace_dropped();
 /// Empties every ring — the flight view's too (producers must be quiescent).
 void reset_trace();
-
-#if defined(APAMM_OBS_ENABLED)
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
@@ -192,7 +182,8 @@ class Span {
 /// the enclosing slice in Perfetto). `id` must match on both sides — dist uses
 /// the Message trace-context span id.
 inline void record_flow(Phase* phase, std::uint64_t id, bool out) {
-  if (!detail::g_tracing.load(std::memory_order_relaxed)) return;
+  if (!detail::g_tracing.load(std::memory_order_relaxed) ||
+      !detail::g_enabled.load(std::memory_order_relaxed)) return;
   detail::record_event(phase->name(), static_cast<std::int64_t>(id), 0,
                        detail::now_ns(),
                        out ? TraceEventKind::kFlowOut : TraceEventKind::kFlowIn);
@@ -237,25 +228,5 @@ inline void record_flow(Phase* phase, std::uint64_t id, bool out) {
     ::apa::obs::record_flow(apa_obs_flow_phase,                      \
                             static_cast<std::uint64_t>(flow_id), false); \
   } while (false)
-
-#else  // !APAMM_OBS_ENABLED
-
-#define APA_TRACE_SCOPE(name) \
-  do {                        \
-  } while (false)
-#define APA_TRACE_SCOPE_ID(name, id) \
-  do {                               \
-    (void)sizeof((id));              \
-  } while (false)
-#define APA_TRACE_FLOW_OUT(name, flow_id) \
-  do {                                    \
-    (void)sizeof((flow_id));              \
-  } while (false)
-#define APA_TRACE_FLOW_IN(name, flow_id) \
-  do {                                   \
-    (void)sizeof((flow_id));             \
-  } while (false)
-
-#endif  // APAMM_OBS_ENABLED
 
 }  // namespace apa::obs

@@ -125,7 +125,7 @@ CostCalibration calibrate(index_t probe_dim) {
   c = calibrate_from_obs();
   if (c.valid()) return c;
 
-  // Registry is dark (APAMM_OBS=OFF): fall back to the wall clock for the
+  // Registry is dark (obs disabled): fall back to the wall clock for the
   // gemm rate and the dedicated streaming-bandwidth measurement.
   c.gemm_gflops = 1e-9 * flops_for(probes.dim, probes.dim, probes.dim) /
                   probes.gemm_seconds;

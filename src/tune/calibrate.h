@@ -11,9 +11,9 @@
 //   add_bandwidth = "core.combine.bytes" counter / "core.combine_*" phase time
 //
 // so any process that has run real work (a training epoch, a warmup batch)
-// can calibrate for free. When the registry is empty — obs compiled out, or
-// a cold process — calibrate() falls back to short wall-clock probe
-// workloads, keeping every caller functional under -DAPAMM_OBS=OFF.
+// can calibrate for free. When the registry is empty — a cold process, or
+// obs disabled at runtime — calibrate() falls back to short wall-clock probe
+// workloads, keeping every caller functional with obs off.
 
 #include <cstdint>
 
@@ -62,7 +62,7 @@ struct CostCalibration {
 /// Calibration with guaranteed validity: uses the registry when it already
 /// holds enough traffic; otherwise runs short probe workloads (one planned
 /// gemm and one APA multiply at `probe_dim`) to populate it and re-reads. If
-/// the registry still reports nothing (APAMM_OBS=OFF), measures the same
+/// the registry still reports nothing (obs disabled), measures the same
 /// probes by wall clock. Probe cost is a few milliseconds at the default dim.
 [[nodiscard]] CostCalibration calibrate(index_t probe_dim = 384);
 

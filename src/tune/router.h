@@ -104,7 +104,7 @@ struct RouterOptions {
   /// Consult the numerical-health monitor (obs::health()) on every decided
   /// APA call and derate a drifting shape to classical gemm until its flag
   /// clears. Softer than quarantine: no trip is required and the committed
-  /// decision stays in the table. No-op under APAMM_OBS=OFF.
+  /// decision stays in the table. No-op while obs is disabled.
   bool consult_health = true;
   /// Decision/telemetry stream (nullable). Records one "route_decision" line
   /// per committed choice and one "route_cache" line per load attempt.
@@ -116,8 +116,8 @@ struct RouterOptions {
       measure_override;
 };
 
-/// Counters mirrored outside the obs registry so they stay queryable under
-/// APAMM_OBS=OFF (tests assert on them; obs counters feed telemetry).
+/// Counters mirrored outside the obs registry so they stay queryable while obs
+/// is disabled (tests assert on them; obs counters feed telemetry).
 struct RouterStats {
   std::uint64_t decided_calls = 0;     ///< served by a committed decision
   std::uint64_t explore_samples = 0;   ///< timed candidate executions

@@ -179,22 +179,19 @@ TEST_F(ConcurrencyTest, TraceRingsAndMetricsRegistriesUnderContention) {
     }
   }
   obs::set_tracing(false);
-  if (obs::kCompiledIn) {
-    constexpr std::uint64_t kTotal =
-        static_cast<std::uint64_t>(kThreads) * kReps;
-    EXPECT_EQ(obs::counter_value("stress.counter"), kTotal);
-    std::uint64_t spans = 0;
-    for (const auto& t : obs::phase_totals()) {
-      if (t.name == "stress.span") spans = t.count;
-    }
-    EXPECT_EQ(spans, kTotal);
-    EXPECT_EQ(obs::trace_events().size() + obs::trace_dropped(), kTotal);
-    std::uint64_t hist_count = 0;
-    for (const auto& h : obs::histogram_samples()) {
-      if (h.name == "stress.histogram") hist_count = h.count;
-    }
-    EXPECT_EQ(hist_count, kTotal);
+  constexpr std::uint64_t kTotal = static_cast<std::uint64_t>(kThreads) * kReps;
+  EXPECT_EQ(obs::counter_value("stress.counter"), kTotal);
+  std::uint64_t spans = 0;
+  for (const auto& t : obs::phase_totals()) {
+    if (t.name == "stress.span") spans = t.count;
   }
+  EXPECT_EQ(spans, kTotal);
+  EXPECT_EQ(obs::trace_events().size() + obs::trace_dropped(), kTotal);
+  std::uint64_t hist_count = 0;
+  for (const auto& h : obs::histogram_samples()) {
+    if (h.name == "stress.histogram") hist_count = h.count;
+  }
+  EXPECT_EQ(hist_count, kTotal);
   obs::reset_trace();
   obs::reset_phases();
   obs::reset_counters();
@@ -224,24 +221,22 @@ TEST_F(ConcurrencyTest, TraceCapacityResizeUnderConcurrentRecording) {
       }
     }
   }
-  if (obs::kCompiledIn) {
-    // Drained events are structurally intact whatever generation survived.
-    for (const auto& e : obs::trace_events()) {
-      EXPECT_EQ(e.name, "stress.resize_span");
-      EXPECT_GE(e.id, 0);
-      EXPECT_LT(e.id, 2000);
-    }
-    // The rings keep recording after the churn: every thread lands exactly
-    // one span under the final bound.
-    obs::set_trace_capacity(64);
-    obs::reset_trace();
-#pragma omp parallel num_threads(kThreads)
-    {
-      APA_TRACE_SCOPE("stress.post_resize");
-    }
-    EXPECT_EQ(obs::trace_events().size(), static_cast<std::size_t>(kThreads));
-    EXPECT_EQ(obs::trace_dropped(), 0u);
+  // Drained events are structurally intact whatever generation survived.
+  for (const auto& e : obs::trace_events()) {
+    EXPECT_EQ(e.name, "stress.resize_span");
+    EXPECT_GE(e.id, 0);
+    EXPECT_LT(e.id, 2000);
   }
+  // The rings keep recording after the churn: every thread lands exactly
+  // one span under the final bound.
+  obs::set_trace_capacity(64);
+  obs::reset_trace();
+#pragma omp parallel num_threads(kThreads)
+  {
+    APA_TRACE_SCOPE("stress.post_resize");
+  }
+  EXPECT_EQ(obs::trace_events().size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(obs::trace_dropped(), 0u);
   obs::set_tracing(false);
   obs::reset_trace();
   obs::set_trace_capacity(original);
@@ -271,16 +266,14 @@ TEST_F(ConcurrencyTest, FlightRingsRecordConcurrentlyAndDumpAfterQuiesce) {
   }
   const int dumped = obs::flight_dump("stress");
   obs::set_flight_dir("");
-  if (obs::kCompiledIn) {
-    EXPECT_GE(dumped, 1);
-    EXPECT_TRUE(fs::exists(dir / "flight_0.json"));
-    std::uint64_t notes = 0;
-    for (const auto& e : obs::flight_events()) {
-      if (e.tag == "stress.flight") ++notes;
-    }
-    // Quiescent drain: every note within each ring's bound survives.
-    EXPECT_EQ(notes, 500u * kThreads);
+  EXPECT_GE(dumped, 1);
+  EXPECT_TRUE(fs::exists(dir / "flight_0.json"));
+  std::uint64_t notes = 0;
+  for (const auto& e : obs::flight_events()) {
+    if (e.tag == "stress.flight") ++notes;
   }
+  // Quiescent drain: every note within each ring's bound survives.
+  EXPECT_EQ(notes, 500u * kThreads);
   obs::reset_flight();
   fs::remove_all(dir);
 }

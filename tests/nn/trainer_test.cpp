@@ -129,7 +129,6 @@ TEST(Trainer, EpochStatsGuardIsPerEpochDelta) {
 }
 
 TEST(Trainer, EpochStatsCarryPhaseBreakdown) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::set_enabled(true);
   auto data = tiny_dataset(250);
   auto mlp = tiny_mlp();

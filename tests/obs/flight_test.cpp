@@ -2,8 +2,7 @@
 // bounds, ring recycling across thread exits, per-entry ranks, and the
 // postmortem dump files (schema, arming, coalescing). The dump path
 // itself is async-signal-safe by construction; here we drive it from normal
-// code and validate what lands on disk. Skips (but still compiles) under
-// APAMM_OBS=OFF, where every entry point is a no-op.
+// code and validate what lands on disk.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -94,7 +93,6 @@ int count_tag(const std::vector<obs::FlightEventView>& events,
 }
 
 TEST_F(FlightTest, NoteRecordsTagAndPayload) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::flight_note("test.note", 7, -9);
   const auto events = obs::flight_events();
   bool found = false;
@@ -110,7 +108,6 @@ TEST_F(FlightTest, NoteRecordsTagAndPayload) {
 }
 
 TEST_F(FlightTest, FinishedSpansMirrorIntoTheRing) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   {
     APA_TRACE_SCOPE_ID("test.flight_mirror", 3);
   }
@@ -126,7 +123,6 @@ TEST_F(FlightTest, FinishedSpansMirrorIntoTheRing) {
 }
 
 TEST_F(FlightTest, RingBoundKeepsOnlyTheNewestEvents) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   // The trace capacity bounds a ring sized while tracing is on; the bump
   // makes the recorder size its ring on its first note.
   const std::uint64_t original = obs::trace_capacity();
@@ -152,7 +148,6 @@ TEST_F(FlightTest, RingBoundKeepsOnlyTheNewestEvents) {
 }
 
 TEST_F(FlightTest, RingsOfExitedThreadsAreRecycledNotLeaked) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   // More sequential threads than there are ring slots: each exiting thread
   // hands its ring to the next, so the late threads still record and the
   // churn reuses a lane instead of claiming a new ring per thread.
@@ -178,7 +173,6 @@ TEST_F(FlightTest, RingsOfExitedThreadsAreRecycledNotLeaked) {
 }
 
 TEST_F(FlightTest, RecycledRingKeepsEachEntrysRank) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   const fs::path dir = make_temp_dir("apamm_flight_rank_test_");
   obs::set_tracing(true);
   obs::reset_trace();
@@ -220,21 +214,18 @@ TEST_F(FlightTest, RecycledRingKeepsEachEntrysRank) {
 }
 
 TEST_F(FlightTest, DumpIsDisarmedUntilADirectoryIsNamed) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::flight_note("test.flight_disarmed", 1);
   EXPECT_EQ(obs::flight_dump("never"), 0);
   EXPECT_EQ(obs::flight_dir(), "");
 }
 
 TEST_F(FlightTest, OverlongDirectoryLeavesDumpsDisarmed) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::set_flight_dir(std::string(600, 'x'));  // exceeds the signal-safe buffer
   EXPECT_EQ(obs::flight_dir(), "");
   EXPECT_EQ(obs::flight_dump("overlong"), 0);
 }
 
 TEST_F(FlightTest, DumpWritesBalancedPerRankJsonWithReasonAndEvents) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   const fs::path dir = make_temp_dir("apamm_flight_test_");
   obs::set_flight_dir(dir.string());
   EXPECT_EQ(obs::flight_dir(), dir.string());
@@ -260,20 +251,10 @@ TEST_F(FlightTest, DumpWritesBalancedPerRankJsonWithReasonAndEvents) {
 }
 
 TEST_F(FlightTest, ResetEmptiesEveryRing) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::flight_note("test.flight_reset", 1);
   ASSERT_GE(count_tag(obs::flight_events(), "test.flight_reset"), 1);
   obs::reset_flight();
   EXPECT_EQ(count_tag(obs::flight_events(), "test.flight_reset"), 0);
-}
-
-TEST_F(FlightTest, CompiledOutBuildStaysCallable) {
-  // The OFF stubs must accept every call without effect; in ON builds this
-  // just exercises the getters.
-  if (obs::kCompiledIn) return;
-  obs::flight_note("test.off", 1, 2);
-  EXPECT_EQ(obs::flight_dump("off"), 0);
-  EXPECT_TRUE(obs::flight_events().empty());
 }
 
 }  // namespace

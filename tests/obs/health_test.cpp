@@ -2,7 +2,7 @@
 // ratios. The paper-level property under test: a λ-error stream that grows
 // toward the σ/φ-derived bound is flagged while every individual ratio is
 // still strictly below 1 — i.e. the monitor warns BEFORE the guard would trip
-// (docs/OBSERVABILITY.md §Numerical health). Skips under APAMM_OBS=OFF.
+// (docs/OBSERVABILITY.md §Numerical health).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -26,13 +26,6 @@ namespace fs = std::filesystem;
 
 constexpr double kBound = 3.45e-4;  // bini322's 1-step catalog bound, roughly
 
-class HealthTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
-  }
-};
-
 /// Feeds a geometric residual ramp (the signature of accumulating λ-error),
 /// saturating at `cap` < 1, until the monitor flags. Returns the fed ratios so
 /// the test can assert every one stayed below the trip point.
@@ -49,7 +42,7 @@ std::vector<double> feed_ramp(obs::HealthMonitor& mon, double start,
   return fed;
 }
 
-TEST_F(HealthTest, FlagsInjectedDriftBeforeAnyRatioReachesTheTripPoint) {
+TEST(HealthTest, FlagsInjectedDriftBeforeAnyRatioReachesTheTripPoint) {
   obs::HealthMonitor mon;
   const std::vector<double> fed = feed_ramp(mon, 0.05, 1.2, 0.95);
   EXPECT_TRUE(mon.drifting(300, 784, 300))
@@ -68,7 +61,7 @@ TEST_F(HealthTest, FlagsInjectedDriftBeforeAnyRatioReachesTheTripPoint) {
   EXPECT_EQ(mon.drifting_count(), 1u);
 }
 
-TEST_F(HealthTest, SlopeAloneFlagsASlowRampBelowTheLevelThreshold) {
+TEST(HealthTest, SlopeAloneFlagsASlowRampBelowTheLevelThreshold) {
   // Disable the level trigger: only sustained growth can flag. A linear creep
   // from 0.05 upward has a positive EWMA slope well before it nears 0.5.
   obs::HealthOptions options;
@@ -87,7 +80,7 @@ TEST_F(HealthTest, SlopeAloneFlagsASlowRampBelowTheLevelThreshold) {
   EXPECT_LT(ratio, 0.5) << "slope trigger should fire long before the level";
 }
 
-TEST_F(HealthTest, StableStreamNeverFlags) {
+TEST(HealthTest, StableStreamNeverFlags) {
   obs::HealthMonitor mon;
   for (int i = 0; i < 100; ++i) {
     mon.record("bini322", 128, 128, 128, 0.3, kBound);
@@ -100,7 +93,7 @@ TEST_F(HealthTest, StableStreamNeverFlags) {
   EXPECT_NEAR(streams[0].ewma_ratio, 0.3, 1e-9);
 }
 
-TEST_F(HealthTest, RecoveryClearsTheFlagButKeepsTheHistory) {
+TEST(HealthTest, RecoveryClearsTheFlagButKeepsTheHistory) {
   obs::HealthMonitor mon;
   feed_ramp(mon, 0.05, 1.2, 0.95);
   ASSERT_TRUE(mon.drifting(300, 784, 300));
@@ -115,7 +108,7 @@ TEST_F(HealthTest, RecoveryClearsTheFlagButKeepsTheHistory) {
   EXPECT_GT(streams[0].peak_ratio, 0.5);
 }
 
-TEST_F(HealthTest, StreamsAreIsolatedByAlgoAndShape) {
+TEST(HealthTest, StreamsAreIsolatedByAlgoAndShape) {
   obs::HealthMonitor mon;
   feed_ramp(mon, 0.05, 1.2, 0.95);  // drifts ⟨bini322, 300, 784, 300⟩
   for (int i = 0; i < 20; ++i) {
@@ -131,7 +124,7 @@ TEST_F(HealthTest, StreamsAreIsolatedByAlgoAndShape) {
   EXPECT_EQ(streams[1].m, 300);
 }
 
-TEST_F(HealthTest, EmitsTelemetryOnFlipsAndOnTheSampleCadence) {
+TEST(HealthTest, EmitsTelemetryOnFlipsAndOnTheSampleCadence) {
   const fs::path path =
       fs::temp_directory_path() /
       ("apamm_health_test_" + std::to_string(::getpid()) + ".jsonl");
@@ -169,7 +162,7 @@ TEST_F(HealthTest, EmitsTelemetryOnFlipsAndOnTheSampleCadence) {
   fs::remove(path);
 }
 
-TEST_F(HealthTest, ResetForgetsEverything) {
+TEST(HealthTest, ResetForgetsEverything) {
   obs::HealthMonitor mon;
   feed_ramp(mon, 0.05, 1.2, 0.95);
   ASSERT_TRUE(mon.drifting(300, 784, 300));
@@ -179,7 +172,7 @@ TEST_F(HealthTest, ResetForgetsEverything) {
   EXPECT_TRUE(mon.snapshot().empty());
 }
 
-TEST_F(HealthTest, GlobalMonitorIsAStableSingleton) {
+TEST(HealthTest, GlobalMonitorIsAStableSingleton) {
   EXPECT_EQ(&obs::health(), &obs::health());
 }
 

@@ -160,13 +160,11 @@ TEST(ObsSession, MultiRankSessionWritesDisjointPerRankFiles) {
     EXPECT_NE(text.find("apamm rank " + std::to_string(rank)),
               std::string::npos);
   }
-  if (obs::kCompiledIn) {
-    // Unranked threads (this test's main thread) export with rank 0.
-    EXPECT_NE(slurp(dir / "trace.rank0.json").find("test.session_span"),
-              std::string::npos);
-    EXPECT_EQ(slurp(dir / "trace.rank1.json").find("test.session_span"),
-              std::string::npos);
-  }
+  // Unranked threads (this test's main thread) export with rank 0.
+  EXPECT_NE(slurp(dir / "trace.rank0.json").find("test.session_span"),
+            std::string::npos);
+  EXPECT_EQ(slurp(dir / "trace.rank1.json").find("test.session_span"),
+            std::string::npos);
   fs::remove_all(dir);
 }
 

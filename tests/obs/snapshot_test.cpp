@@ -71,7 +71,6 @@ TEST(SnapshotSpec, EmptyPathFails) {
 }
 
 TEST(PrometheusText, RendersCountersHistogramsAndPhases) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::set_enabled(true);
   obs::reset_counters();
   obs::reset_phases();
@@ -104,13 +103,6 @@ TEST(PrometheusText, RendersCountersHistogramsAndPhases) {
   obs::reset_phases();
 }
 
-TEST(PrometheusText, CompiledOutBuildRendersHeadersOnly) {
-  if (obs::kCompiledIn) GTEST_SKIP() << "covered above";
-  const std::string text = obs::prometheus_text();
-  EXPECT_NE(text.find("# HELP"), std::string::npos);
-  EXPECT_EQ(text.find("{name="), std::string::npos);
-}
-
 TEST(MetricsPublisher, PublishNowWritesTheFileAtomically) {
   const fs::path path = temp_file("apamm_snapshot_test_");
   fs::remove(path);
@@ -136,7 +128,6 @@ TEST(MetricsPublisher, PublishNowFailsIntoAMissingDirectory) {
 }
 
 TEST(MetricsPublisher, PeriodicThreadRepublishes) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   obs::set_enabled(true);
   const fs::path path = temp_file("apamm_snapshot_periodic_");
   fs::remove(path);

@@ -1,13 +1,13 @@
 // Telemetry JSONL sink and JsonRecord builder: round-trip through a real file,
-// escaping, non-finite handling, counters_record shape. The sink is explicit
-// API and stays functional in APAMM_OBS=OFF builds, so only the counter-content
-// assertions skip there.
+// escaping, non-finite handling, counters_record shape.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,6 +135,17 @@ TEST_F(TelemetryTest, NonFiniteDoublesRenderAsNull) {
             "{\"nan\": null, \"inf\": null, \"neg_inf\": null, \"finite\": 1.5}");
 }
 
+TEST(JsonDouble, OnlyNonFiniteValuesRenderAsNull) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const double v : {1.75e308, -1.75e308, kMax, -kMax}) {  // "null" parses as 0
+    const std::string text = obs::json_double(v);
+    EXPECT_NEAR(std::strtod(text.c_str(), nullptr) / v, 1.0, 1e-11) << text;
+  }
+  EXPECT_EQ(obs::json_double(std::nan("")), "null");
+  EXPECT_EQ(obs::json_double(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(obs::json_double(-std::numeric_limits<double>::infinity()), "null");
+}
+
 TEST_F(TelemetryTest, SyncKeepsSinkWritable) {
   obs::TelemetrySink sink(path_);
   ASSERT_TRUE(sink.ok());
@@ -233,7 +244,6 @@ TEST_F(TelemetryTest, CountersRecordEmbedsRegistry) {
   EXPECT_NE(base.find("\"type\": \"counters\""), std::string::npos);
   EXPECT_NE(base.find("\"counters\""), std::string::npos);
 
-  if (!obs::kCompiledIn) GTEST_SKIP() << "APAMM_OBS=OFF";
   APA_COUNTER_ADD("test.telemetry.counter", 9);
   const std::string with = obs::counters_record().to_json();
   EXPECT_NE(with.find("\"test.telemetry.counter\": 9"), std::string::npos);
