@@ -2,7 +2,8 @@
 # Fault drill for the data-parallel trainer: one run with a worker killed AND
 # a gradient corrupted mid-epoch, one fault-free control run, both from the
 # same seed. The drill passes when the faulty run (a) detects both faults,
-# (b) performs a distributed-consistent rollback verified bit-exact, (c)
+# (b) performs a distributed-consistent rollback verified bit-exact, with at
+# least one worker's rewind record naming the corrupt gradient as its cause, (c)
 # degrades to the surviving worker set and finishes, and (d) lands within an
 # accuracy tolerance of the control run. See docs/ROBUSTNESS.md for the
 # protocol being exercised. A message-fault run (payloads corrupted and
@@ -35,7 +36,7 @@ echo "== control run (fault-free) =="
 echo
 echo "== drill run (inject: $FAULTS) =="
 "$BIN" "${ARGS[@]}" --shard-dir="$WORK/faulty" --inject-fault="$FAULTS" \
-  | tee "$WORK/faulty.log"
+  --metrics-out="$WORK/faulty_metrics.jsonl" | tee "$WORK/faulty.log"
 echo
 
 fail() { echo "DRILL FAILED: $1" >&2; exit 1; }
@@ -48,6 +49,15 @@ grep -Eq 'rollbacks [1-9][0-9]* \(bit-exact yes\)' "$WORK/faulty.log" \
   || fail "the corrupt gradient should force a bit-exact verified rollback"
 grep -q 'bit-exact NO' "$WORK/faulty.log" \
   && fail "a rollback restore was not bit-exact across workers"
+# A worker that detects the divergence itself records the guard's verdict;
+# one that joins a round another worker started records "requested".
+python3 - "$WORK"/faulty_metrics.rank*.jsonl <<'EOF' \
+  || fail "no dist_rewind record names the corrupt gradient (cause bad_gradient)"
+import json, sys
+records = [json.loads(line) for path in sys.argv[1:] for line in open(path)]
+sys.exit(not any(r.get("type") == "dist_rewind" and r.get("cause") == "bad_gradient"
+                 for r in records))
+EOF
 
 # Final accuracy within tolerance of the fault-free control: losing a worker
 # changes the batch schedule, so expect "close", not equal.

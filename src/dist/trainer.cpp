@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -15,7 +14,7 @@
 #include "dist/shard.h"
 #include "dist/transport.h"
 #include "nn/checkpoint.h"
-#include "nn/derisk.h"
+#include "nn/divergence.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -129,6 +128,7 @@ class Worker {
         rank_(rank),
         model_(std::move(model)),
         result_(result),
+        guard_(ctx.options.warmup_steps, ctx.options.max_rollbacks),
         sink_(ctx.options.rank_telemetry ? ctx.options.rank_telemetry(rank)
                                          : nullptr),
         loader_(&ctx.dataset, ctx.options.batch, ctx.options.seed),
@@ -170,8 +170,10 @@ class Worker {
   }
 
   /// Distributed-consistent rollback: propose, two-phase barrier, restore,
-  /// verify bit-exactness. Returns the step training resumes from.
-  index_t do_rewind(index_t at_step) {
+  /// verify bit-exactness. `cause` is this worker's divergence verdict, or
+  /// "requested" when it joins a round another worker started. Returns the
+  /// step training resumes from.
+  index_t do_rewind(index_t at_step, const char* cause) {
     APA_TRACE_SCOPE("dist.rewind");
     index_t restorable = -1;
     try {
@@ -197,7 +199,9 @@ class Worker {
           return d;
         });
     load_sharded_checkpoint(opts().checkpoint_dir, decision.step, model_);
-    ++result_.rollbacks;
+    // Every path into a rewind passes here, so every worker restarts its
+    // loss EWMA identically.
+    guard_.rewound();
     if (decision.step < last_checkpoint_step_) ++result_.checkpoint_fallbacks;
     APA_COUNTER_INC("dist.rollbacks");
     obs::flight_note("dist.rewind", static_cast<std::int64_t>(at_step),
@@ -208,7 +212,7 @@ class Worker {
     ctx_.checksum_slots[static_cast<std::size_t>(rank_)]->store(
         model_checksum(model_), std::memory_order_release);
     const BarrierResult br = ctx_.control.barrier(
-        rank_, kTagRewindVerify + static_cast<std::uint64_t>(result_.rollbacks),
+        rank_, kTagRewindVerify + static_cast<std::uint64_t>(guard_.rollbacks()),
         opts().barrier_timeout_s, /*rewind_interrupts=*/false);
     if (br == BarrierResult::kAborted) ctx_.control.check_abort();
     const std::uint64_t mine =
@@ -235,13 +239,12 @@ class Worker {
       record.set("rank", rank_);
       record.set("from_step", static_cast<long long>(at_step));
       record.set("to_step", static_cast<long long>(decision.step));
-      record.set("round", result_.rollbacks);
+      record.set("cause", cause);
+      record.set("round", guard_.rollbacks());
       record.set("fallback_used", decision.fallback_used);
       sink_->write(record);
     }
-    // Replay re-executes [decision.step, at_step) deterministically; the
-    // loss EWMA deliberately keeps its pre-divergence value (symmetric on
-    // every worker, which is all that matters).
+    // Replay re-executes [decision.step, at_step) deterministically.
     return decision.step;
   }
 
@@ -324,11 +327,6 @@ class Worker {
     std::vector<float> flat(static_cast<std::size_t>(grad_size) + 1);
     std::vector<float> snapshot;
 
-    double ewma = 0;
-    bool ewma_ready = false;
-    index_t warm_steps = 0;
-    int rollback_rounds = 0;
-
     index_t step = 0;
     while (step < ctx_.steps_per_epoch) {
       ctx_.control.check_abort();
@@ -349,8 +347,7 @@ class Worker {
       }
 
       if (ctx_.control.rewind_pending()) {
-        step = do_rewind(step);
-        ++rollback_rounds;
+        step = do_rewind(step, "requested");
         continue;
       }
       if (ctx_.control.membership_version() != shard_membership_) {
@@ -395,8 +392,7 @@ class Worker {
         APA_FAIL(ErrorCode::kDiverged, "collective aborted without a cause");
       }
       if (status == CollectiveStatus::kRewindRequested) {
-        step = do_rewind(step);
-        ++rollback_rounds;
+        step = do_rewind(step, "requested");
         continue;
       }
 
@@ -405,58 +401,23 @@ class Worker {
       // extra communication.
       const double reduced_loss =
           flat[static_cast<std::size_t>(grad_size)];
-      bool anomaly = !std::isfinite(reduced_loss);
-      if (!anomaly && ewma_ready && warm_steps >= opts().warmup_steps &&
-          reduced_loss > opts().loss_spike_factor * ewma) {
-        anomaly = true;
-      }
-      if (!anomaly) {
-        for (index_t i = 0; i < grad_size; ++i) {
-          const float g = flat[static_cast<std::size_t>(i)];
-          if (!std::isfinite(g) ||
-              std::abs(g) > static_cast<float>(opts().grad_abs_limit)) {
-            anomaly = true;
-            break;
-          }
-        }
-      }
-      if (anomaly) {
+      const nn::Divergence verdict = guard_.check(
+          reduced_loss, {flat.data(), static_cast<std::size_t>(grad_size)});
+      if (verdict != nn::Divergence::kNone) {
         APA_COUNTER_INC("dist.divergence_detected");
         obs::flight_note("dist.divergence", static_cast<std::int64_t>(step),
-                         rollback_rounds + 1);
-        ++rollback_rounds;
-        APA_CHECK_CODE(rollback_rounds <= opts().max_rollbacks,
-                       ErrorCode::kDiverged,
-                       "distributed rollback budget ("
-                           << opts().max_rollbacks << ") exhausted at step "
-                           << step);
-        // De-risk before replaying — same deterministic ladder as the
-        // single-process trainer, applied by every worker to its own replica
-        // (identical state => identical rung => replicas stay bit-identical).
-        switch (nn::derisk_fast_backend(model_, opts().lambda_shrink)) {
-          case nn::DeriskAction::kLambdaShrunk:
-            ++result_.lambda_shrinks;
-            break;
-          case nn::DeriskAction::kClassicalFallback:
-            result_.fell_back_to_classical = true;
-            break;
-          case nn::DeriskAction::kNone:
-            break;
-        }
-        step = do_rewind(step);
+                         guard_.rollbacks() + 1);
+        // De-risk before replaying. Every worker that reaches this verdict
+        // takes the same rung (identical state => identical rung); one that
+        // joins the round at another's request ("requested") takes none.
+        guard_.recover(model_, verdict, step, reduced_loss);
+        step = do_rewind(step, nn::divergence_name(verdict));
         continue;
       }
 
       scatter_grads(model_, flat);
       model_.apply_update();
-      if (ewma_ready) {
-        ewma = opts().loss_ewma_decay * ewma +
-               (1 - opts().loss_ewma_decay) * reduced_loss;
-      } else {
-        ewma = reduced_loss;
-        ewma_ready = true;
-      }
-      ++warm_steps;
+      guard_.accept(reduced_loss);
       result_.loss_sum += reduced_loss;
       ++result_.steps;
       ++step;
@@ -480,6 +441,9 @@ class Worker {
     result_.resends_served = reducer_.resends_served();
     result_.checksum_failures = reducer_.checksum_failures();
     result_.retries = reducer_.retries();
+    result_.rollbacks = guard_.rollbacks();
+    result_.lambda_shrinks = guard_.lambda_shrinks();
+    result_.fell_back_to_classical = guard_.fell_back_to_classical();
     if (sink_ != nullptr) {
       obs::JsonRecord record;
       record.set("type", "dist_worker");
@@ -509,6 +473,7 @@ class Worker {
   int rank_ = -1;
   nn::Mlp model_;
   WorkerResult& result_;
+  nn::DivergenceGuard guard_;
   obs::TelemetrySink* sink_;  ///< per-rank JSONL sink (may be null; not owned)
   ShardLoader loader_;
   RingReducer reducer_;

@@ -1,5 +1,5 @@
 #pragma once
-// Fault-tolerant data-parallel training (ISSUE: dist tentpole).
+// Fault-tolerant data-parallel training.
 //
 // N worker threads each hold a full model replica built by the caller's
 // factory (same config + seed => bit-identical init) and train over disjoint
@@ -10,9 +10,10 @@
 //   mean    <- ring all-reduce over the live workers (plus the local loss as
 //              one extra reduced element, so every worker sees the *global*
 //              mean loss without extra messaging)
-//   detect  <- symmetric anomaly check on the reduced bytes: non-finite or
-//              spiking loss, non-finite or exploding gradient. Identical
-//              bytes => identical verdict on every worker, no votes needed.
+//   detect  <- the shared divergence rule (nn/divergence.h) over the reduced
+//              bytes: non-finite or spiking loss, non-finite or exploding
+//              gradient. Identical bytes => identical verdict on every
+//              worker, no votes needed.
 //   apply   <- scatter the mean into the grad buffers, apply_update()
 //
 // Because all replicas apply identical averaged gradient bytes, they stay
@@ -56,19 +57,15 @@ struct DistTrainOptions {
   index_t checkpoint_every = 50;
   int keep_checkpoints = 3;
 
-  // Symmetric divergence detection over the reduced bytes (mirrors the
-  // single-process TrainGuardOptions semantics).
-  double loss_spike_factor = 4.0;
-  double loss_ewma_decay = 0.9;
+  // Divergence detection over the reduced bytes: the rule, its constants and
+  // the de-risk ladder are shared with the single-process trainer
+  // (nn/divergence.h); these two knobs are TrainGuardOptions' warmup_steps
+  // and max_recoveries.
+  /// Accepted steps before a loss spike counts; restarts after every rewind.
   index_t warmup_steps = 5;
-  /// Any reduced-gradient magnitude above this is treated as divergence
-  /// (catches a corrupted contribution, which stays finite after averaging).
-  double grad_abs_limit = 1e6;
-  /// Rewind rounds allowed before the run aborts with ApaError{kDiverged}.
+  /// Rewind rounds allowed before a detected divergence aborts the run with
+  /// ApaError{kDiverged}; rounds joined at another worker's request count.
   int max_rollbacks = 3;
-  /// Backend de-risk factor applied on every rollback (shared ladder with the
-  /// single-process trainer, nn/derisk.h).
-  double lambda_shrink = 0.25;
 
   // Fault-tolerance knobs.
   CollectiveOptions collective;

@@ -3,14 +3,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "nn/checkpoint.h"
-#include "nn/derisk.h"
+#include "nn/divergence.h"
 #include "nn/guarded_backend.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -59,7 +59,7 @@ class GuardFold {
   GuardStats acc_;
 };
 
-// The loops below are templated over the model (Mlp or Cnn): both expose
+// The epoch loop below is templated over the model (Mlp or Cnn): both expose
 // train_step/predict, fast_backend/set_fast_backend, and a save/load_checkpoint
 // overload, which is all the guard machinery needs.
 
@@ -72,88 +72,64 @@ std::string default_guard_checkpoint_path(const void* model) {
   return (std::filesystem::temp_directory_path() / name.str()).string();
 }
 
-/// One de-risk rung (shared ladder in nn/derisk.h), folded into the report.
-template <class Model>
-void derisk_into_report(Model& model, const TrainGuardOptions& guard,
-                        TrainGuardReport& report) {
-  switch (derisk_fast_backend(model, guard.lambda_shrink)) {
-    case DeriskAction::kLambdaShrunk: ++report.lambda_shrinks; break;
-    case DeriskAction::kClassicalFallback: report.fell_back_to_classical = true; break;
-    case DeriskAction::kNone: break;
-  }
-}
+/// Runs `fn` on every exit from the enclosing scope, a throw included.
+template <class Fn>
+class OnExit {
+ public:
+  explicit OnExit(Fn fn) : fn_(std::move(fn)) {}
+  ~OnExit() { fn_(); }
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+
+ private:
+  Fn fn_;
+};
 
 template <class Model>
-EpochStats train_epoch_plain(Model& model, data::Dataset& dataset, index_t batch,
-                             Rng* rng) {
-  if (rng != nullptr) data::shuffle(dataset, *rng);
-  EpochStats stats;
-  GuardFold fold(model);
-  const auto phases_before = obs::phase_totals();
-  double loss_acc = 0;
-  for (index_t first = 0; first + batch <= dataset.size(); first += batch) {
-    const auto x = dataset.batch_images(first, batch);
-    const auto labels = dataset.batch_labels(first, batch);
-    WallTimer timer;
-    {
-      APA_TRACE_SCOPE_ID("train.step", stats.steps);
-      loss_acc += model.train_step(x, labels);
-    }
-    stats.seconds += timer.seconds();
-    ++stats.steps;
-  }
-  stats.mean_loss = stats.steps > 0 ? loss_acc / static_cast<double>(stats.steps) : 0;
-  stats.dropped_samples = batch > 0 ? dataset.size() % batch : index_t{0};
-  fold.finish(model, stats);
-  stats.phases = obs::phase_delta(obs::phase_totals(), phases_before);
-  return stats;
-}
-
-template <class Model>
-EpochStats train_epoch_guarded(Model& model, data::Dataset& dataset, index_t batch,
-                               Rng* rng, const TrainGuardOptions& guard,
-                               TrainGuardReport* report) {
+EpochStats train_epoch_impl(Model& model, data::Dataset& dataset, index_t batch,
+                            Rng* rng, const TrainGuardOptions& options,
+                            TrainGuardReport* report) {
   TrainGuardReport local_report;
   TrainGuardReport& out = report != nullptr ? *report : local_report;
   out = TrainGuardReport{};
-  if (!guard.enabled) {
-    const EpochStats stats = train_epoch_plain(model, dataset, batch, rng);
-    out.final_lambda = model.fast_backend().effective_lambda();
-    return stats;
-  }
-
   if (rng != nullptr) data::shuffle(dataset, *rng);
 
-  const std::string checkpoint = guard.checkpoint_path.empty()
-                                     ? default_guard_checkpoint_path(&model)
-                                     : guard.checkpoint_path;
-  // A run killed mid-save leaves a `.tmp` orphan next to the checkpoint;
-  // clear it before the first commit of this epoch. The default path lives in
-  // the shared temp directory, where other processes' in-flight commits sit
-  // too, so there only this run's own orphan goes.
-  if (guard.checkpoint_path.empty()) {
-    std::remove((checkpoint + ".tmp").c_str());
-  } else {
-    cleanup_stale_checkpoint_temps(
-        std::filesystem::path(checkpoint).parent_path().string());
-  }
-  {
+  const bool guarded = options.enabled;
+  const bool owns_checkpoint = guarded && options.checkpoint_path.empty();
+  const std::string checkpoint = owns_checkpoint ? default_guard_checkpoint_path(&model)
+                                                 : options.checkpoint_path;
+  DivergenceGuard guard(options.warmup_steps, options.max_recoveries);
+  const OnExit finish([&] {
+    out.recoveries = guard.rollbacks();
+    out.lambda_shrinks = guard.lambda_shrinks();
+    out.fell_back_to_classical = guard.fell_back_to_classical();
+    out.final_lambda = model.fast_backend().effective_lambda();
+    if (owns_checkpoint) std::remove(checkpoint.c_str());
+  });
+  const auto write_checkpoint = [&] {
     APA_TRACE_SCOPE("train.checkpoint");
     save_checkpoint(checkpoint, model);
+    APA_COUNTER_INC("train.checkpoints");
+    ++out.checkpoints_written;
+  };
+  if (guarded) {
+    // A run killed mid-save leaves a `.tmp` orphan next to the checkpoint;
+    // clear it before the first commit of this epoch. The default path lives
+    // in the shared temp directory, where other processes' in-flight commits
+    // sit too, so there only this run's own orphan goes.
+    if (owns_checkpoint) {
+      std::remove((checkpoint + ".tmp").c_str());
+    } else {
+      cleanup_stale_checkpoint_temps(
+          std::filesystem::path(checkpoint).parent_path().string());
+    }
+    write_checkpoint();
   }
-  APA_COUNTER_INC("train.checkpoints");
-  ++out.checkpoints_written;
 
   EpochStats stats;
   GuardFold fold(model);
   const auto phases_before = obs::phase_totals();
   double loss_acc = 0;
-  // Running loss mean for spike detection; reset after every rollback since
-  // the restored weights re-live an earlier loss regime.
-  double ewma = 0;
-  index_t ewma_steps = 0;
-  constexpr double kSpikeAbsoluteSlack = 1e-3;
-
   index_t first = 0;
   while (first + batch <= dataset.size()) {
     const auto x = dataset.batch_images(first, batch);
@@ -167,78 +143,58 @@ EpochStats train_epoch_guarded(Model& model, data::Dataset& dataset, index_t bat
     const double step_seconds = timer.seconds();
     stats.seconds += step_seconds;
 
-    const bool spiked = ewma_steps >= guard.warmup_steps &&
-                        loss > guard.loss_spike_factor * ewma + kSpikeAbsoluteSlack;
-    if (!std::isfinite(loss) || spiked) {
-      APA_CHECK_CODE(out.recoveries < guard.max_recoveries, ErrorCode::kDiverged,
-                     "training diverged at step " << stats.steps << " (loss "
-                         << loss << ", running mean " << ewma << ") after "
-                         << out.recoveries
-                         << " recovery attempts — backend exhausted");
-      ++out.recoveries;
-      APA_COUNTER_INC("train.rollbacks");
-      obs::flight_note("train.rollback", static_cast<std::int64_t>(stats.steps),
-                       out.recoveries);
-      obs::flight_dump("rollback");
-      const int lambda_shrinks_before = out.lambda_shrinks;
+    const Divergence verdict = guarded ? guard.check(loss) : Divergence::kNone;
+    if (verdict != Divergence::kNone) {
+      const double running_mean = guard.running_mean();
       {
         APA_TRACE_SCOPE("train.rollback");
         fold.segment_end(model);  // de-risking may replace the backend
+        guard.recover(model, verdict, stats.steps, loss);
         load_checkpoint(checkpoint, model);
-        derisk_into_report(model, guard, out);
+        guard.rewound();
         fold.rebase(model);
       }
-      if (out.lambda_shrinks > lambda_shrinks_before) {
-        APA_COUNTER_INC("train.lambda_shrinks");
-      }
-      if (out.fell_back_to_classical) {
-        APA_COUNTER_INC("train.classical_fallbacks");
-      }
-      if (guard.telemetry != nullptr) {
+      APA_COUNTER_INC("train.rollbacks");
+      obs::flight_note("train.rollback", static_cast<std::int64_t>(stats.steps),
+                       guard.rollbacks());
+      obs::flight_dump("rollback");
+      if (options.telemetry != nullptr) {
         obs::JsonRecord rec;
         rec.set("type", "rollback")
             .set("step", static_cast<long long>(stats.steps))
+            .set("cause", divergence_name(verdict))
             .set("loss", loss)
-            .set("running_mean", ewma)
-            .set("recoveries", out.recoveries)
+            .set("running_mean", running_mean)
+            .set("recoveries", guard.rollbacks())
             .set("lambda", model.fast_backend().effective_lambda())
-            .set("classical_fallback", out.fell_back_to_classical);
-        guard.telemetry->write(rec);
+            .set("classical_fallback", guard.fell_back_to_classical());
+        options.telemetry->write(rec);
       }
-      ewma = 0;
-      ewma_steps = 0;
       continue;  // retry the same batch with restored weights
     }
 
-    ewma = ewma_steps == 0 ? loss
-                           : guard.loss_ewma_decay * ewma +
-                                 (1.0 - guard.loss_ewma_decay) * loss;
-    ++ewma_steps;
     loss_acc += loss;
     ++stats.steps;
-    if (guard.telemetry != nullptr) {
+    first += batch;
+    if (!guarded) continue;
+    guard.accept(loss);
+    if (options.telemetry != nullptr) {
       obs::JsonRecord rec;
       rec.set("type", "step")
           .set("step", static_cast<long long>(stats.steps - 1))
           .set("loss", loss)
           .set("seconds", step_seconds);
-      guard.telemetry->write(rec);
+      options.telemetry->write(rec);
     }
-    if (guard.checkpoint_every > 0 && stats.steps % guard.checkpoint_every == 0) {
-      APA_TRACE_SCOPE("train.checkpoint");
-      save_checkpoint(checkpoint, model);
-      APA_COUNTER_INC("train.checkpoints");
-      ++out.checkpoints_written;
+    if (options.checkpoint_every > 0 && stats.steps % options.checkpoint_every == 0) {
+      write_checkpoint();
     }
-    first += batch;
   }
 
   stats.mean_loss = stats.steps > 0 ? loss_acc / static_cast<double>(stats.steps) : 0;
   stats.dropped_samples = batch > 0 ? dataset.size() % batch : index_t{0};
   fold.finish(model, stats);
   stats.phases = obs::phase_delta(obs::phase_totals(), phases_before);
-  out.final_lambda = model.fast_backend().effective_lambda();
-  if (guard.checkpoint_path.empty()) std::remove(checkpoint.c_str());
   return stats;
 }
 
@@ -263,26 +219,18 @@ double evaluate_accuracy_impl(Model& model, const data::Dataset& dataset,
 
 }  // namespace
 
-EpochStats train_epoch(Mlp& mlp, data::Dataset& dataset, index_t batch, Rng* rng) {
-  return train_epoch_plain(mlp, dataset, batch, rng);
-}
-
 EpochStats train_epoch(Mlp& mlp, data::Dataset& dataset, index_t batch, Rng* rng,
                        const TrainGuardOptions& guard, TrainGuardReport* report) {
-  return train_epoch_guarded(mlp, dataset, batch, rng, guard, report);
+  return train_epoch_impl(mlp, dataset, batch, rng, guard, report);
 }
 
 double evaluate_accuracy(const Mlp& mlp, const data::Dataset& dataset, index_t batch) {
   return evaluate_accuracy_impl(mlp, dataset, batch, mlp.output_size());
 }
 
-EpochStats train_epoch(Cnn& cnn, data::Dataset& dataset, index_t batch, Rng* rng) {
-  return train_epoch_plain(cnn, dataset, batch, rng);
-}
-
 EpochStats train_epoch(Cnn& cnn, data::Dataset& dataset, index_t batch, Rng* rng,
                        const TrainGuardOptions& guard, TrainGuardReport* report) {
-  return train_epoch_guarded(cnn, dataset, batch, rng, guard, report);
+  return train_epoch_impl(cnn, dataset, batch, rng, guard, report);
 }
 
 double evaluate_accuracy(Cnn& cnn, const data::Dataset& dataset, index_t batch) {

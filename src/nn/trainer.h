@@ -42,29 +42,23 @@ struct EpochStats {
 };
 
 /// Divergence-protection policy for train_epoch. Default-constructed options
-/// reproduce the unguarded loop exactly (zero overhead).
+/// reproduce the unguarded loop exactly (zero overhead). The divergence rule
+/// itself — spike factor, EWMA decay, de-risk ladder — is fixed, shared with
+/// the data-parallel trainer, and documented in nn/divergence.h.
 struct TrainGuardOptions {
   bool enabled = false;
   /// Steps between automatic checkpoints (one is always written before the
   /// first step of the epoch when enabled).
   index_t checkpoint_every = 50;
-  /// A step whose loss exceeds `loss_spike_factor` x the running loss mean
-  /// (EWMA, after `warmup_steps`) counts as divergence; non-finite loss
-  /// always does.
-  double loss_spike_factor = 4.0;
-  double loss_ewma_decay = 0.9;
+  /// Accepted steps before a loss spike counts as divergence; a non-finite
+  /// loss always does. Restarts after every rollback.
   index_t warmup_steps = 5;
   /// Recovery budget for the epoch; exceeding it throws
   /// ApaError{kDiverged}. Each recovery rolls the weights back to the last
-  /// auto-checkpoint and de-risks the fast backend (see lambda_shrink).
+  /// auto-checkpoint and de-risks the fast backend one rung.
   int max_recoveries = 3;
-  /// First recoveries multiply the fast backend's lambda by this (clamped at
-  /// the rule's optimal lambda — below it the roundoff term grows instead);
-  /// once lambda cannot shrink further, the fast backend is replaced by
-  /// classical gemm.
-  double lambda_shrink = 0.25;
   /// Auto-checkpoint location; empty derives a collision-safe path in the
-  /// system temp directory (removed on clean completion).
+  /// system temp directory, removed when the epoch returns or throws.
   std::string checkpoint_path;
   /// Optional JSONL sink: the guarded loop emits one "step" record per
   /// training step and a "rollback" record per recovery. Not owned; must
@@ -84,30 +78,26 @@ struct TrainGuardReport {
 
 /// One pass over `dataset` in batches of `batch` (trailing partial batch is
 /// dropped, see EpochStats::dropped_samples). Shuffles first when `rng` is
-/// non-null.
-EpochStats train_epoch(Mlp& mlp, data::Dataset& dataset, index_t batch, Rng* rng);
-
-/// Guarded variant: same loop, plus divergence detection and rollback per
-/// `guard`. On recovery the weights are restored from the last auto-checkpoint
-/// and training continues at the current batch with a de-risked backend;
-/// after `guard.max_recoveries` failed recoveries throws ApaError{kDiverged}.
-/// `report` (optional) receives what happened.
+/// non-null. With `guard.enabled` the loop also detects divergence and rolls
+/// back: the weights are restored from the last auto-checkpoint and training
+/// continues at the current batch with a de-risked backend; after
+/// `guard.max_recoveries` recoveries the next divergence throws
+/// ApaError{kDiverged}. `report` (optional) receives what happened.
 EpochStats train_epoch(Mlp& mlp, data::Dataset& dataset, index_t batch, Rng* rng,
-                       const TrainGuardOptions& guard,
+                       const TrainGuardOptions& guard = {},
                        TrainGuardReport* report = nullptr);
 
 /// Classification accuracy over the dataset, evaluated in batches.
 [[nodiscard]] double evaluate_accuracy(const Mlp& mlp, const data::Dataset& dataset,
                                        index_t batch = 512);
 
-/// CNN variants of the loop above — identical batching methodology, guard
+/// CNN variants of the above — identical batching methodology, guard
 /// semantics, and rollback contract (the CNN checkpoint carries conv filters,
 /// dense layers, and every momentum buffer, so a recovery is a bit-exact
 /// rewind). Cnn is taken non-const throughout because its forward pass stores
 /// pooling argmax state.
-EpochStats train_epoch(Cnn& cnn, data::Dataset& dataset, index_t batch, Rng* rng);
 EpochStats train_epoch(Cnn& cnn, data::Dataset& dataset, index_t batch, Rng* rng,
-                       const TrainGuardOptions& guard,
+                       const TrainGuardOptions& guard = {},
                        TrainGuardReport* report = nullptr);
 [[nodiscard]] double evaluate_accuracy(Cnn& cnn, const data::Dataset& dataset,
                                        index_t batch = 512);

@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "data/synthetic_mnist.h"
 #include "dist/checkpoint.h"
+#include "obs/telemetry.h"
 #include "support/check.h"
 
 namespace apa::dist {
@@ -154,6 +159,39 @@ TEST_F(DistTrainerTest, RollbackRecoveryMatchesFaultFreeResult) {
   fs::remove_all(faulty.checkpoint_dir);
   EXPECT_GE(recovered.rollbacks, 1);
   EXPECT_EQ(recovered.final_checksum, clean.final_checksum);
+}
+
+TEST_F(DistTrainerTest, RewindRecordNamesItsCause) {
+  // Each worker's "dist_rewind" record carries the guard's verdict when it
+  // detected the divergence itself, "requested" when it joined a round
+  // another worker started. A corrupted contribution is a bad gradient.
+  options_.faults = DistFaultPolicy::parse("corrupt@1:6");
+  std::vector<std::unique_ptr<obs::TelemetrySink>> sinks;
+  for (int rank = 0; rank < options_.workers; ++rank) {
+    sinks.push_back(std::make_unique<obs::TelemetrySink>(
+        dir_ + "_rank" + std::to_string(rank) + ".jsonl"));
+  }
+  options_.rank_telemetry = [&sinks](int rank) {
+    return sinks[static_cast<std::size_t>(rank)].get();
+  };
+  const DistEpochStats stats =
+      train_data_parallel(model_factory(), small_train_set(), options_);
+  EXPECT_GE(stats.rollbacks, 1);
+
+  int bad_gradient = 0;
+  for (const auto& sink : sinks) {
+    sink->sync();
+    std::ifstream in(sink->path());
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("\"type\": \"dist_rewind\"") == std::string::npos) continue;
+      const bool detected = line.find("\"cause\": \"bad_gradient\"") != std::string::npos;
+      EXPECT_TRUE(detected || line.find("\"cause\": \"requested\"") != std::string::npos)
+          << line;
+      bad_gradient += detected ? 1 : 0;
+    }
+    fs::remove(sink->path());
+  }
+  EXPECT_GE(bad_gradient, 1);
 }
 
 TEST_F(DistTrainerTest, CorruptShardForcesFallbackToOlderStep) {

@@ -11,6 +11,7 @@
 
 #include "data/synthetic_mnist.h"
 #include "obs/trace.h"
+#include "support/check.h"
 #include "support/rng.h"
 
 namespace apa::nn {
@@ -277,6 +278,60 @@ TEST(Trainer, GuardedEpochLeavesOtherProcessesTempsAlone) {
 
   EXPECT_TRUE(std::filesystem::exists(foreign));
   std::filesystem::remove(foreign);
+}
+
+/// lr = 1e8 on classical gemm: every rollback replays the same explosion and
+/// no de-risk rung can help, so the guarded epoch spends its budget and
+/// throws kDiverged.
+void run_exploding_epoch(TrainGuardOptions guard) {
+  auto data = tiny_dataset(600);
+  MlpConfig config;
+  config.layer_sizes = {784, 32, 10};
+  config.learning_rate = 1e8f;
+  Mlp mlp(config, MatmulBackend("classical"), MatmulBackend("classical"));
+  guard.enabled = true;
+  guard.max_recoveries = 2;
+  guard.warmup_steps = 1;
+  try {
+    train_epoch(mlp, data, 64, nullptr, guard);
+    ADD_FAILURE() << "an unrecoverable divergence must throw";
+  } catch (const ApaError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kDiverged);
+  }
+}
+
+TEST(Trainer, DivergedEpochRemovesItsDefaultCheckpoint) {
+  run_exploding_epoch({});  // checkpoint_path empty: the default location
+  const std::string prefix = "apamm_guard_" + std::to_string(::getpid()) + "_";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::temp_directory_path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_FALSE(name.starts_with(prefix) && name.ends_with(".ckpt"))
+        << "left behind: " << entry.path();
+  }
+}
+
+TEST(Trainer, RollbackRecordNamesItsCause) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("apamm_rollback_cause_" + std::to_string(::getpid()) + ".jsonl"))
+          .string();
+  {
+    obs::TelemetrySink sink(path);
+    ASSERT_TRUE(sink.ok());
+    TrainGuardOptions guard;
+    guard.telemetry = &sink;
+    run_exploding_epoch(guard);
+  }
+  std::ifstream in(path);
+  int rollbacks = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\": \"rollback\"") == std::string::npos) continue;
+    ++rollbacks;
+    EXPECT_NE(line.find("\"cause\": \"loss_spike\""), std::string::npos) << line;
+  }
+  EXPECT_EQ(rollbacks, 2);
+  std::filesystem::remove(path);
 }
 
 TEST(Trainer, CnnRollbackRecoversFromRoundoffExplosion) {
