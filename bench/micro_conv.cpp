@@ -5,11 +5,11 @@
 //   seed    - the seed two-pass pipeline preserved as conv_forward_reference /
 //             conv_backward_reference: im2col re-run in backward, plain
 //             matmuls, separate ReLU / bias / mask sweeps over the outputs;
-//   planned - what ConvLayer now issues: filters prepacked once per optimizer
-//             step (one GemmPlan per orientation), bias+ReLU fused into the
-//             im2col gemm's epilogue, the ReLU-backward mask fused into the dx
+//   planned - what ConvLayer now issues: bias+ReLU fused into the im2col
+//             gemm's epilogue, the ReLU-backward mask fused into the dx
 //             product in patch space, and backward reusing the forward pass's
-//             patch matrix instead of re-running im2col.
+//             patch matrix instead of re-running im2col. Both pipelines pack
+//             the filters inside every product.
 //
 // Emits BENCH_conv.json so future PRs can track the perf trajectory.
 //
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
               " (spatial /%ld), backend %s, %d thread(s)\n",
               batch, scale, algo.c_str(), threads);
   std::printf("seed = im2col re-run + separate bias/ReLU/mask passes; planned = "
-              "ConvLayer's prepacked + fused path\n\n");
+              "ConvLayer's fused path\n\n");
   TablePrinter table({"layer", "m", "k", "n", "seed-s", "planned-s", "x-planned"});
 
   nn::BackendOptions options;
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
         },
         timing);
 
-    // Planned pipeline: fused epilogues, prepacked filters, patch reuse.
+    // Planned pipeline: fused epilogues, patch reuse.
     const auto planned = bench::time_workload(
         [&] {
           layer.forward(x.view().as_const(), y.view(), backend,

@@ -1,16 +1,16 @@
-// Microbenchmark for the pack-once GEMM plan layer: forward-layer matmul
-// (batch x dim times dim x dim weights, the MLP training shape) evaluated
-// three ways per backend:
+// Microbenchmark for the fused-epilogue layer: forward-layer matmul (batch x
+// dim times dim x dim weights, the MLP training shape) evaluated two ways per
+// backend:
 //
-//   plain     - gemm packing both operands on the fly, then the old two-pass
-//               epilogue (separate bias-add and ReLU sweeps over the output);
-//   prepacked - weights packed once into a GemmPlan, epilogue still two-pass;
-//   fused     - prepacked weights plus the bias+ReLU epilogue fused into the
-//               macro-kernel (what DenseLayer::forward now issues).
+//   plain - the product, then the old two-pass epilogue (separate bias-add
+//           and ReLU sweeps over the output);
+//   fused - the bias+ReLU epilogue fused into the macro-kernel (what
+//           DenseLayer::forward issues).
 //
-// The APA backend ignores plans (the executor packs per sub-block and
-// prepacks its own aliased single-term blocks), so its three variants track
-// the epilogue handling and the executor-internal prepacking trajectory.
+// Both variants pack W inside every call, as the layers do: in training each
+// weight orientation is read by one product per optimizer step, and the
+// blocked gemm already reuses each packed block across the whole call. On the
+// APA backend the fused epilogue runs as one pass after the combine stage.
 //
 // Emits BENCH_prepack.json so future PRs can track the perf trajectory.
 //
@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
   timing.reps = static_cast<int>(args.get_int("reps", 3));
 
   std::printf("micro_prepack: y = relu(x*W + b), W %ld x %ld\n", dim, dim);
-  std::printf("plain = on-the-fly packing + separate bias and ReLU passes\n\n");
-  TablePrinter table({"backend", "batch", "plain-s", "prepacked-s", "fused-s",
-                      "x-prepacked", "x-fused", "fused-GFLOPS"});
+  std::printf("plain = separate bias and ReLU passes; fused = one epilogue\n\n");
+  TablePrinter table(
+      {"backend", "batch", "plain-s", "fused-s", "x-fused", "fused-GFLOPS"});
 
   bench::BenchJsonWriter writer("micro_prepack");
   for (const auto& algo : algos) {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       blas::Epilogue<float> bias_only{blas::EpilogueKind::kBiasAdd, bias.data(), {}};
       blas::Epilogue<float> relu_only{blas::EpilogueKind::kRelu, nullptr, {}};
 
-      // Old pipeline: matmul (repacking W every call), then two full sweeps.
+      // Old pipeline: matmul, then two full sweeps.
       const auto plain = bench::time_workload(
           [&] {
             backend.matmul(x.view().as_const(), w.view().as_const(), y.view());
@@ -79,24 +79,8 @@ int main(int argc, char** argv) {
           },
           timing);
 
-      // Weights packed once, reused across timed reps (one optimizer step's
-      // worth of forward calls); epilogue still unfused.
-      blas::GemmPlan<float> plan;
-      plan.set_packed_b(/*trans=*/false, w.view());
-      nn::MatmulFusion prepacked_fusion;
-      prepacked_fusion.plan = &plan;
-      const auto prepacked = bench::time_workload(
-          [&] {
-            backend.matmul_ex(x.view().as_const(), w.view().as_const(), y.view(),
-                              false, false, prepacked_fusion);
-            blas::apply_epilogue<float>(bias_only, y.view());
-            blas::apply_epilogue<float>(relu_only, y.view());
-          },
-          timing);
-
-      // What DenseLayer::forward issues: prepacked weights + fused epilogue.
+      // What DenseLayer::forward issues: the epilogue fused into the product.
       nn::MatmulFusion fused_fusion;
-      fused_fusion.plan = &plan;
       fused_fusion.epilogue = epilogue;
       const auto fused = bench::time_workload(
           [&] {
@@ -110,15 +94,12 @@ int main(int argc, char** argv) {
           .set("batch", batch)
           .set("dim", dim)
           .set("plain_seconds", plain.min_seconds)
-          .set("prepacked_seconds", prepacked.min_seconds)
           .set("fused_seconds", fused.min_seconds)
-          .set("speedup_prepacked", plain.min_seconds / prepacked.min_seconds)
           .set("speedup_fused", plain.min_seconds / fused.min_seconds);
       writer.add_row(std::move(row));
       table.add_row(
           {algo, std::to_string(batch), format_double(plain.min_seconds, 4),
-           format_double(prepacked.min_seconds, 4), format_double(fused.min_seconds, 4),
-           format_double(plain.min_seconds / prepacked.min_seconds, 3),
+           format_double(fused.min_seconds, 4),
            format_double(plain.min_seconds / fused.min_seconds, 3),
            format_double(effective_gflops(batch, dim, dim, fused.min_seconds), 1)});
     }

@@ -5,7 +5,7 @@
 // Packing is exposed at two granularities: whole-block (pack_a / pack_b, one
 // mc x kc or kc x nc cache block) and single-micropanel (pack_a_panel /
 // pack_b_panel), which the shared-pack parallel gemm uses to split one block's
-// packing across an OpenMP team, and the prepacked-plan layer uses to lay out
+// packing across an OpenMP team, and the prepacked-panel layer uses to lay out
 // an entire operand once (blas/plan.h).
 
 #include "blas/microkernel.h"

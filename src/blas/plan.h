@@ -1,14 +1,16 @@
 #pragma once
-// Pack-once GEMM plans with fused epilogues.
+// Planned GEMM: prepacked operand panels and fused epilogues.
 //
-// The blocked gemm spends a bandwidth-visible fraction of its time repacking
-// operands into micropanel layout — time that is pure waste when the same
-// operand recurs across calls (a Linear layer's weights between optimizer
-// steps, the aliased single-term blocks an APA rule reuses across its rank-r
-// products). A PackedPanel packs op(A) or op(B) exactly once, with native
-// transpose support (the pack gather is where the transpose happens, so A^T /
-// B^T operands cost nothing extra), into pool-leased cache-aligned storage in
-// the same (kc, mc/nc) block order the macro-kernel consumes.
+// The blocked gemm packs each operand into micropanel layout once per call
+// and reuses every packed block across the whole call (each kc x nc block of
+// B serves every m-block). A PackedPanel lifts that pack out of one call, for
+// callers that feed the same operand to several products: the APA executor
+// packs each input block that two or more of a rule's rank-r products alias
+// as a bare term, and shares the pack across those products. The pack gather
+// is transpose-aware (A^T / B^T operands cost nothing extra) and writes
+// pool-leased cache-aligned storage in the same (kc, mc/nc) block order the
+// macro-kernel consumes. A panel read by a single product saves nothing over
+// packing on the fly, so the NN layers pack per call.
 //
 // Epilogues fuse the elementwise passes NN layers otherwise make over the
 // freshly written output (bias add, ReLU, ReLU-backward masking) into the
@@ -119,47 +121,6 @@ void gemm_fused(Trans ta, Trans tb, MatrixView<const T> a, MatrixView<const T> b
   gemm_planned<T>(ta, a, nullptr, tb, b, nullptr, c, alpha, beta, epilogue,
                   num_threads);
 }
-
-/// A reusable gemm plan: holds prepacked operands for whichever sides were
-/// packed and runs the planned gemm. The NN layers keep one plan per weight
-/// orientation and repack only after the weights change.
-template <class T>
-class GemmPlan {
- public:
-  GemmPlan() = default;
-
-  void set_packed_a(bool trans, MatrixView<const T> stored, int num_threads = 1) {
-    a_ = PackedPanel<T>::pack_a(trans, stored, num_threads);
-  }
-  void set_packed_b(bool trans, MatrixView<const T> stored, int num_threads = 1) {
-    b_ = PackedPanel<T>::pack_b(trans, stored, num_threads);
-  }
-  void reset() { a_ = {}; b_ = {}; }
-  [[nodiscard]] bool has_packed_a() const { return !a_.empty(); }
-  [[nodiscard]] bool has_packed_b() const { return !b_.empty(); }
-
-  /// The packed A panel when it matches op(A) of shape m x k, else nullptr.
-  [[nodiscard]] const PackedPanel<T>* packed_a_for(index_t m, index_t k) const {
-    return (!a_.empty() && a_.rows() == m && a_.cols() == k) ? &a_ : nullptr;
-  }
-  [[nodiscard]] const PackedPanel<T>* packed_b_for(index_t k, index_t n) const {
-    return (!b_.empty() && b_.rows() == k && b_.cols() == n) ? &b_ : nullptr;
-  }
-
-  void run(Trans ta, MatrixView<const T> a, Trans tb, MatrixView<const T> b,
-           MatrixView<T> c, T alpha = T{1}, T beta = T{0},
-           const Epilogue<T>& epilogue = {}, int num_threads = 1) const {
-    const index_t m = (ta == Trans::kYes) ? a.cols : a.rows;
-    const index_t k = (ta == Trans::kYes) ? a.rows : a.cols;
-    const index_t n = (tb == Trans::kYes) ? b.rows : b.cols;
-    gemm_planned<T>(ta, a, packed_a_for(m, k), tb, b, packed_b_for(k, n), c, alpha,
-                    beta, epilogue, num_threads);
-  }
-
- private:
-  PackedPanel<T> a_;
-  PackedPanel<T> b_;
-};
 
 extern template void apply_epilogue<float>(const Epilogue<float>&, MatrixView<float>);
 extern template void apply_epilogue<double>(const Epilogue<double>&,

@@ -75,16 +75,11 @@ void MatmulBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float>
 
   const core::FastMatmul* fast = dispatch_for(m, k, n);
   if (fast == nullptr) {
-    // Classical: transposes resolve inside the packing gather, the epilogue
-    // fuses into the tile loop, and any matching prepacked panels are reused.
-    const blas::PackedPanel<float>* pa =
-        fusion.plan != nullptr ? fusion.plan->packed_a_for(m, k) : nullptr;
-    const blas::PackedPanel<float>* pb =
-        fusion.plan != nullptr ? fusion.plan->packed_b_for(k, n) : nullptr;
-    blas::gemm_planned<float>(transpose_a ? blas::Trans::kYes : blas::Trans::kNo, a, pa,
-                              transpose_b ? blas::Trans::kYes : blas::Trans::kNo, b, pb,
-                              c, 1.0f, 0.0f, fusion.epilogue,
-                              options_.matmul.num_threads);
+    // Classical: transposes resolve inside the packing gather and the
+    // epilogue fuses into the tile loop.
+    blas::gemm_fused<float>(transpose_a ? blas::Trans::kYes : blas::Trans::kNo,
+                            transpose_b ? blas::Trans::kYes : blas::Trans::kNo, a, b, c,
+                            1.0f, 0.0f, fusion.epilogue, options_.matmul.num_threads);
     return;
   }
 

@@ -15,10 +15,12 @@
 // Transposed operands are zero-copy on every path: the classical backend uses
 // gemm's native pack-with-transpose, and the APA executor threads transposed
 // views through its recursion (core/executor.h). Callers can additionally pass
-// a MatmulFusion — a fused epilogue (bias add / ReLU / ReLU-backward mask)
-// plus an optional prepacked-operand GemmPlan — via matmul_ex; the classical
-// path fuses the epilogue into the gemm tile loop, the APA path applies it as
-// one pass after the combine stage.
+// a MatmulFusion — a fused epilogue (bias add / ReLU / ReLU-backward mask) —
+// via matmul_ex; the classical path fuses the epilogue into the gemm tile
+// loop, the APA path applies it as one pass after the combine stage. Both
+// paths pack their operands per call: a layer's weights are read once by the
+// forward product and once (transposed) by dx per optimizer step, and the
+// blocked gemm already reuses each packed block across the whole call.
 
 #include <array>
 #include <memory>
@@ -42,12 +44,9 @@ struct BackendOptions {
 };
 
 /// Optional extras for one matmul call: an elementwise epilogue applied to C
-/// after the product, and prepacked operand panels reused across calls (only
-/// panels whose shape matches the call's op-operands are consumed; the plan is
-/// ignored on APA dispatches, which pack per sub-block).
+/// after the product.
 struct MatmulFusion {
   blas::Epilogue<float> epilogue;
-  const blas::GemmPlan<float>* plan = nullptr;
 };
 
 class MatmulBackend {
@@ -69,7 +68,7 @@ class MatmulBackend {
     matmul_ex(a, b, c, transpose_a, transpose_b, MatmulFusion{});
   }
 
-  /// matmul with a fused epilogue and/or prepacked operands. Virtual so policy
+  /// matmul with a fused epilogue. Virtual so policy
   /// wrappers (e.g. GuardedBackend) can interpose; note the NN models that
   /// store backends by value slice wrappers away — pass wrappers through the
   /// shared_ptr constructors instead.

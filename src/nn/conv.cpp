@@ -184,24 +184,6 @@ ConvLayer::ConvLayer(const ConvShape& shape, Rng& rng)
   dbias_.set_zero();
 }
 
-const blas::GemmPlan<float>* ConvLayer::forward_plan(int num_threads) const {
-  if (fwd_packed_version_ != filters_version_) {
-    APA_COUNTER_INC("conv.filter_pack.rebuilds");
-    fwd_plan_.set_packed_b(/*trans=*/false, filters_.view().as_const(), num_threads);
-    fwd_packed_version_ = filters_version_;
-  }
-  return &fwd_plan_;
-}
-
-const blas::GemmPlan<float>* ConvLayer::dx_plan(int num_threads) const {
-  if (dx_packed_version_ != filters_version_) {
-    APA_COUNTER_INC("conv.filter_pack.rebuilds");
-    dx_plan_.set_packed_b(/*trans=*/true, filters_.view().as_const(), num_threads);
-    dx_packed_version_ = filters_version_;
-  }
-  return &dx_plan_;
-}
-
 void ConvLayer::forward(MatrixView<const float> x, MatrixView<float> y,
                         const MatmulBackend& backend, bool fuse_relu) const {
   const index_t batch = x.rows;
@@ -222,18 +204,12 @@ void ConvLayer::forward(MatrixView<const float> x, MatrixView<float> y,
 
   // One gemm with the bias (and optionally ReLU) fused into its epilogue. Both
   // commute with the transpose below, so fusing them before the restack is
-  // bit-identical to the seed's separate bias pass. The filter pack is reused
-  // across steps, but only on classical dispatches — the APA executor packs
-  // per sub-block and ignores plans.
+  // bit-identical to the seed's separate bias pass.
   Matrix<float> product(rows, shape_.out_channels);
   MatmulFusion fusion;
   fusion.epilogue.kind =
       fuse_relu ? blas::EpilogueKind::kBiasAddRelu : blas::EpilogueKind::kBiasAdd;
   fusion.epilogue.bias = bias_.data();
-  if (backend.dispatch_for(rows, shape_.patch_size(), shape_.out_channels) ==
-      nullptr) {
-    fusion.plan = forward_plan(threads);
-  }
   backend.matmul_ex(patches_.view().as_const(), filters_.view(), product.view(),
                     false, false, fusion);
 
@@ -294,9 +270,8 @@ void ConvLayer::backward(MatrixView<const float> x, MatrixView<const float> dy,
     }
   }
 
-  // dW = patches^T dy_mat; dbias = column sums of dy_mat. Both operands are
-  // fresh every step, so there is no cross-step pack to reuse — the win is the
-  // patch matrix itself, reused from forward above.
+  // dW = patches^T dy_mat; dbias = column sums of dy_mat. The patch matrix is
+  // the one forward built, reused above.
   backend.matmul(patches_.view().as_const(), dy_mat.view().as_const(),
                  dfilters_.view(), /*transpose_a=*/true);
   dbias_.set_zero();
@@ -327,10 +302,6 @@ void ConvLayer::backward(MatrixView<const float> x, MatrixView<const float> dy,
       }
       fusion.epilogue.kind = blas::EpilogueKind::kReluGrad;
     }
-    if (backend.dispatch_for(rows, shape_.out_channels, shape_.patch_size()) ==
-        nullptr) {
-      fusion.plan = dx_plan(threads);
-    }
     backend.matmul_ex(dy_mat.view().as_const(), filters_.view(), dpatches.view(),
                       false, /*transpose_b=*/true, fusion);
     APA_TRACE_SCOPE("conv.col2im");
@@ -348,7 +319,6 @@ void ConvLayer::backward(MatrixView<const float> x, MatrixView<const float> dy,
 }
 
 void ConvLayer::apply_sgd(const SgdOptions& options) {
-  ++filters_version_;  // invalidates the cached filter packs
   filter_state_.update(filters_.view(), dfilters_.view().as_const(), options);
   SgdOptions bias_options = options;
   bias_options.weight_decay = 0.0f;

@@ -10,13 +10,13 @@
 // (channels*kernel_h*kernel_w, out_channels) matrix.
 //
 // All three conv products (forward, dW, dx) route through MatmulFusion: the
-// filter matrix is packed once per optimizer step behind a weight-version
-// counter (one GemmPlan per orientation — filters for the forward product,
-// filters^T for dx), the channel bias (and optionally ReLU) is fused into the
-// im2col gemm's epilogue, and the ReLU-backward mask is fused into the dx
-// product in patch space. Backward reuses the forward pass's stacked patch
-// matrix instead of re-running im2col, under the standard autograd contract
-// that the input tensor is not mutated between forward and backward.
+// channel bias (and optionally ReLU) is fused into the im2col gemm's
+// epilogue, and the ReLU-backward mask is fused into the dx product in patch
+// space. Each product packs the filter matrix itself (filters for the forward
+// product, filters^T for dx), so a step reads each orientation once. Backward
+// reuses the forward pass's stacked patch matrix instead of re-running
+// im2col, under the standard autograd contract that the input tensor is not
+// mutated between forward and backward.
 //
 // Every fusion is bit-identical to the seed two-pass path, preserved below as
 // conv_forward_reference / conv_backward_reference:
@@ -26,8 +26,6 @@
 //   * masking dpatches by (im2col(gate) > 0) before col2im equals masking dx
 //     after col2im: every patch entry that scatters onto pixel p carries the
 //     gate value of p, and padding entries are never scattered at all.
-
-#include <cstdint>
 
 #include "nn/backend.h"
 #include "nn/optimizer.h"
@@ -109,10 +107,7 @@ class ConvLayer {
   void apply_sgd(const SgdOptions& options);
 
   [[nodiscard]] const ConvShape& shape() const { return shape_; }
-  [[nodiscard]] Matrix<float>& filters() {
-    ++filters_version_;  // conservative: non-const access may mutate
-    return filters_;
-  }
+  [[nodiscard]] Matrix<float>& filters() { return filters_; }
   [[nodiscard]] const Matrix<float>& filters() const { return filters_; }
   [[nodiscard]] const Matrix<float>& filter_grad() const { return dfilters_; }
   [[nodiscard]] const Matrix<float>& bias() const { return bias_; }
@@ -125,12 +120,6 @@ class ConvLayer {
   [[nodiscard]] const SgdState& bias_state() const { return bias_state_; }
 
  private:
-  /// Plan holding the filter matrix packed for the forward product, repacked
-  /// iff the weight version moved.
-  [[nodiscard]] const blas::GemmPlan<float>* forward_plan(int num_threads) const;
-  /// Plan holding filters^T packed for the dx product, repacked iff stale.
-  [[nodiscard]] const blas::GemmPlan<float>* dx_plan(int num_threads) const;
-
   ConvShape shape_;
   Matrix<float> filters_;   // patch_size x out_channels
   Matrix<float> bias_;      // 1 x out_channels
@@ -138,11 +127,6 @@ class ConvLayer {
   Matrix<float> dbias_;
   SgdState filter_state_;
   SgdState bias_state_;
-  std::uint64_t filters_version_ = 1;
-  mutable blas::GemmPlan<float> fwd_plan_;  // packed B = filters
-  mutable blas::GemmPlan<float> dx_plan_;   // packed B = filters^T
-  mutable std::uint64_t fwd_packed_version_ = 0;
-  mutable std::uint64_t dx_packed_version_ = 0;
   // Forward-to-backward patch cache. Valid only for the one backward that
   // follows a forward on the same input view (pointer + batch); backward
   // consumes it, so a reused batch buffer with fresh contents can never hit a

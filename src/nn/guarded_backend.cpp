@@ -112,9 +112,9 @@ void GuardedBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float
   APA_COUNTER_INC("guard.fast_calls");
 
   // The probe must certify op(A)*op(B) itself, so run the product with the
-  // epilogue held back (prepacked panels still apply) and fold it in at the
-  // end, after verification settles which product the caller receives.
-  const MatmulFusion bare{.epilogue = {}, .plan = fusion.plan};
+  // epilogue held back and fold it in at the end, after verification settles
+  // which product the caller receives.
+  const MatmulFusion bare{};
   MatmulBackend::matmul_ex(a, b, c, transpose_a, transpose_b, bare);
   if (policy_.inject_fault) policy_.inject_fault(m, k, n, c);
 

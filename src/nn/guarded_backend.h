@@ -78,9 +78,9 @@ class GuardedBackend : public MatmulBackend {
   GuardedBackend(const std::string& algorithm, BackendOptions options = {},
                  GuardPolicy policy = {});
 
-  /// Fused calls run the raw product first (prepacked panels still apply), so
-  /// the Freivalds probe certifies op(A)*op(B) itself; the epilogue is applied
-  /// after verification (and after any classical rerun).
+  /// Fused calls run the raw product first, so the Freivalds probe certifies
+  /// op(A)*op(B) itself; the epilogue is applied after verification (and
+  /// after any classical rerun).
   void matmul_ex(MatrixView<const float> a, MatrixView<const float> b,
                  MatrixView<float> c, bool transpose_a, bool transpose_b,
                  const MatmulFusion& fusion) const override;

@@ -20,22 +20,6 @@ DenseLayer::DenseLayer(index_t in_features, index_t out_features, Rng& rng)
   db_.set_zero();
 }
 
-const blas::GemmPlan<float>* DenseLayer::forward_plan(int num_threads) const {
-  if (fwd_packed_version_ != weights_version_) {
-    fwd_plan_.set_packed_b(/*trans=*/false, weights_.view().as_const(), num_threads);
-    fwd_packed_version_ = weights_version_;
-  }
-  return &fwd_plan_;
-}
-
-const blas::GemmPlan<float>* DenseLayer::dx_plan(int num_threads) const {
-  if (dx_packed_version_ != weights_version_) {
-    dx_plan_.set_packed_b(/*trans=*/true, weights_.view().as_const(), num_threads);
-    dx_packed_version_ = weights_version_;
-  }
-  return &dx_plan_;
-}
-
 void DenseLayer::forward(MatrixView<const float> x, MatrixView<float> y,
                          const MatmulBackend& backend, bool fuse_relu) const {
   APA_CHECK(x.cols == weights_.rows() && y.rows == x.rows && y.cols == weights_.cols());
@@ -43,11 +27,6 @@ void DenseLayer::forward(MatrixView<const float> x, MatrixView<float> y,
   fusion.epilogue.kind =
       fuse_relu ? blas::EpilogueKind::kBiasAddRelu : blas::EpilogueKind::kBiasAdd;
   fusion.epilogue.bias = bias_.data();
-  // Pack W once per optimizer step, but only when this shape dispatches to
-  // classical gemm — the APA executor packs per sub-block and ignores plans.
-  if (backend.dispatch_for(x.rows, x.cols, y.cols) == nullptr) {
-    fusion.plan = forward_plan(backend.num_threads());
-  }
   backend.matmul_ex(x, weights_.view(), y, false, false, fusion);
 }
 
@@ -56,8 +35,7 @@ void DenseLayer::backward(MatrixView<const float> x, MatrixView<const float> dy,
                           MatrixView<const float> relu_gate) {
   APA_CHECK(x.rows == dy.rows && x.cols == weights_.rows() &&
             dy.cols == weights_.cols());
-  // dW = x^T dy (dy already carries the 1/batch factor from the loss); both
-  // operands change every step, so there is nothing to prepack.
+  // dW = x^T dy (dy already carries the 1/batch factor from the loss).
   backend.matmul(x, dy, dw_.view(), /*transpose_a=*/true);
   // db = column sums of dy.
   db_.set_zero();
@@ -77,15 +55,11 @@ void DenseLayer::backward(MatrixView<const float> x, MatrixView<const float> dy,
       fusion.epilogue.kind = blas::EpilogueKind::kReluGrad;
       fusion.epilogue.gate = relu_gate;
     }
-    if (backend.dispatch_for(dy.rows, dy.cols, x.cols) == nullptr) {
-      fusion.plan = dx_plan(backend.num_threads());
-    }
     backend.matmul_ex(dy, weights_.view(), *dx, false, /*transpose_b=*/true, fusion);
   }
 }
 
 void DenseLayer::apply_sgd(const SgdOptions& options) {
-  ++weights_version_;  // invalidates the cached weight packs
   weight_state_.update(weights_.view(), dw_.view().as_const(), options);
   SgdOptions bias_options = options;
   bias_options.weight_decay = 0.0f;  // decay regularizes weights, not biases

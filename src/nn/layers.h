@@ -3,7 +3,6 @@
 // matmul backend, ReLU, and fused softmax + cross-entropy. Row-major
 // activations, shape (batch, features). Gradients are batch means.
 
-#include <cstdint>
 #include <vector>
 
 #include "nn/backend.h"
@@ -18,12 +17,10 @@ namespace apa::nn {
 /// operators for both forward and backward propagation.
 ///
 /// The bias add (and optionally the ReLU / ReLU-backward mask) is fused into
-/// the matmul as an epilogue instead of a separate full-matrix pass, and on
-/// classical dispatches the weight operand is packed once per optimizer step:
-/// the layer keeps one GemmPlan per weight orientation (W for the forward, W^T
-/// for dx) and repacks lazily after the weights change — any mutation through
-/// apply_sgd or the non-const accessors bumps a version that invalidates the
-/// cached packs (checkpoint restore / rollback mutate through weights()).
+/// the matmul as an epilogue instead of a separate full-matrix pass. W is
+/// packed inside each product — once for the forward, once as W^T for dx — so
+/// a training step reads each orientation exactly once, and forward() keeps
+/// no state: concurrent predict() calls on one model are safe.
 class DenseLayer {
  public:
   DenseLayer(index_t in_features, index_t out_features, Rng& rng);
@@ -45,10 +42,7 @@ class DenseLayer {
 
   [[nodiscard]] index_t in_features() const { return weights_.rows(); }
   [[nodiscard]] index_t out_features() const { return weights_.cols(); }
-  [[nodiscard]] Matrix<float>& weights() {
-    ++weights_version_;  // conservative: non-const access may mutate
-    return weights_;
-  }
+  [[nodiscard]] Matrix<float>& weights() { return weights_; }
   [[nodiscard]] const Matrix<float>& weights() const { return weights_; }
   [[nodiscard]] const Matrix<float>& bias() const { return bias_; }
   [[nodiscard]] Matrix<float>& mutable_bias() { return bias_; }
@@ -56,7 +50,7 @@ class DenseLayer {
   [[nodiscard]] const Matrix<float>& bias_grad() const { return db_; }
   /// Mutable gradient buffers, for data-parallel training: workers overwrite
   /// the local gradients with the all-reduced mean between backward and
-  /// apply_sgd. Gradients are never packed, so no version bump is needed.
+  /// apply_sgd.
   [[nodiscard]] Matrix<float>& mutable_weight_grad() { return dw_; }
   [[nodiscard]] Matrix<float>& mutable_bias_grad() { return db_; }
   /// Optimizer state, exposed for momentum checkpointing.
@@ -66,22 +60,12 @@ class DenseLayer {
   [[nodiscard]] const SgdState& bias_state() const { return bias_state_; }
 
  private:
-  /// Plan holding W packed for the forward product, repacked iff stale.
-  [[nodiscard]] const blas::GemmPlan<float>* forward_plan(int num_threads) const;
-  /// Plan holding W^T packed for the dx product, repacked iff stale.
-  [[nodiscard]] const blas::GemmPlan<float>* dx_plan(int num_threads) const;
-
   Matrix<float> weights_;  // in x out
   Matrix<float> bias_;     // 1 x out
   Matrix<float> dw_;
   Matrix<float> db_;
   SgdState weight_state_;
   SgdState bias_state_;
-  std::uint64_t weights_version_ = 1;
-  mutable blas::GemmPlan<float> fwd_plan_;  // packed B = W
-  mutable blas::GemmPlan<float> dx_plan_;   // packed B = W^T
-  mutable std::uint64_t fwd_packed_version_ = 0;
-  mutable std::uint64_t dx_packed_version_ = 0;
 };
 
 /// Elementwise max(0, x).

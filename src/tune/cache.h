@@ -1,6 +1,6 @@
 #pragma once
-// Persistent plan/tuning cache: the winning {backend, lambda, recursion
-// depth, strategy, plan variant} per logical gemm shape, durable on disk so
+// Persistent tuning cache: the winning {backend, lambda, recursion depth,
+// strategy, plan variant} per logical gemm shape, durable on disk so
 // the explore/exploit warmup is paid once per fleet, not once per process.
 //
 // File discipline mirrors the checkpoint formats (nn/checkpoint_io.h): a
@@ -34,9 +34,9 @@ struct ShapeKey {
   friend auto operator<=>(const ShapeKey&, const ShapeKey&) = default;
 };
 
-/// Whether the router honors caller-prepacked GemmPlan panels (kPrepack) or
-/// strips them so operands repack per call (kPlain) — BENCH_prepack.json
-/// shows either can win depending on the (shape, batch) regime.
+/// Plan variant of a persisted choice. Every product packs its operands per
+/// call, so the router does not vary it and always commits kPrepack; the
+/// field stays in the entry layout so caches that recorded kPlain still load.
 enum class PlanVariant : std::uint8_t { kPrepack = 0, kPlain = 1 };
 
 [[nodiscard]] const char* to_string(PlanVariant variant);

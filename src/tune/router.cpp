@@ -20,7 +20,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 const RouterCandidate& classical_fallback() {
-  static const RouterCandidate candidate{};  // classical / 1 step / prepack
+  static const RouterCandidate candidate{};  // classical / 1 step
   return candidate;
 }
 
@@ -40,8 +40,7 @@ obs::JsonRecord candidate_record(const RouterCandidate& c) {
   obs::JsonRecord record;
   record.set("algorithm", c.algorithm)
       .set("steps", c.steps)
-      .set("strategy", core::to_string(c.strategy))
-      .set("plan", to_string(c.plan));
+      .set("strategy", core::to_string(c.strategy));
   return record;
 }
 
@@ -60,7 +59,6 @@ RouterCandidate candidate_from_choice(const TunedChoice& choice) {
   c.steps = choice.steps;
   c.strategy = choice.strategy;
   c.lambda = choice.lambda;
-  c.plan = choice.plan;
   return c;
 }
 
@@ -115,9 +113,6 @@ std::vector<RouterCandidate> TunedBackend::candidates_for(
     std::vector<std::pair<RouterCandidate, double>>& pruned) const {
   std::vector<RouterCandidate> out;
   out.push_back(classical_fallback());
-  RouterCandidate plain;
-  plain.plan = PlanVariant::kPlain;
-  out.push_back(plain);
   std::vector<int> steps_list = {1};
   if (std::min({m, k, n}) >= 2 * options_.backend.min_dim_for_fast) {
     steps_list.push_back(2);
@@ -182,10 +177,7 @@ void TunedBackend::run_candidate(const RouterCandidate& candidate,
                                  MatrixView<const float> b, MatrixView<float> c,
                                  bool transpose_a, bool transpose_b,
                                  const nn::MatmulFusion& fusion) const {
-  const nn::MatmulBackend& backend = backend_for(candidate);
-  nn::MatmulFusion effective = fusion;
-  if (candidate.plan == PlanVariant::kPlain) effective.plan = nullptr;
-  backend.matmul_ex(a, b, c, transpose_a, transpose_b, effective);
+  backend_for(candidate).matmul_ex(a, b, c, transpose_a, transpose_b, fusion);
 }
 
 void TunedBackend::commit_decision(const ShapeKey& key, Entry& entry) const {
@@ -204,14 +196,9 @@ void TunedBackend::commit_decision(const ShapeKey& key, Entry& entry) const {
       is_quarantined(key.m, key.k, key.n);
   if (quarantined && entry.candidates[winner].algorithm != "classical") {
     // The guard outranks the stopwatch: a quarantined shape commits to the
-    // best *classical* candidate instead of the tainted APA winner.
+    // ladder's classical slot (always first) instead of the tainted APA
+    // winner.
     winner = 0;
-    for (std::size_t i = 1; i < entry.candidates.size(); ++i) {
-      if (entry.candidates[i].algorithm == "classical" &&
-          entry.best_seconds[i] < entry.best_seconds[winner]) {
-        winner = i;
-      }
-    }
     ++state_->stats.quarantine_overrides;
     APA_COUNTER_INC("tune.router.quarantine_overrides");
   }
@@ -220,7 +207,6 @@ void TunedBackend::commit_decision(const ShapeKey& key, Entry& entry) const {
   decision.algorithm = chosen.algorithm;
   decision.steps = chosen.steps;
   decision.strategy = chosen.strategy;
-  decision.plan = chosen.plan;
   decision.expected_seconds = entry.best_seconds[winner];
   decision.samples = entry.samples[winner];
   const nn::MatmulBackend& backend = backend_for(chosen);
@@ -314,7 +300,7 @@ void TunedBackend::matmul_ex(MatrixView<const float> a, MatrixView<const float> 
       candidate = entry.candidates[candidate_index];
       exploring = true;
       // Each burst leads with warmup_reps untimed calls so one-off costs
-      // (pool fills, plan packing, page faults) never enter the ledger.
+      // (pool fills, page faults) never enter the ledger.
       record = slot % per_candidate >= options_.warmup_reps;
       ++state_->stats.explore_samples;
     } else {
@@ -415,9 +401,7 @@ std::optional<TunedChoice> TunedBackend::route_for(index_t m, index_t k,
     decision = it->second.decision;
   }
   if (decision.algorithm != "classical" && is_quarantined(m, k, n)) {
-    TunedChoice overridden;  // classical fallback, quarantine in force
-    overridden.plan = decision.plan;
-    return overridden;
+    return TunedChoice{};  // classical fallback, quarantine in force
   }
   return decision;
 }

@@ -1,14 +1,14 @@
 #pragma once
 // Self-tuning backend router.
 //
-// Backend, lambda, recursion depth, strategy and plan variant were chosen
-// statically at every call site, yet the bench data (BENCH_prepack.json,
-// BENCH_conv.json) shows each choice flips winners across (shape, batch)
-// regimes. TunedBackend learns the choice per logical <M,K,N> shape online:
+// Backend, lambda, recursion depth and strategy were chosen statically at
+// every call site, yet the bench data (BENCH_prepack.json, BENCH_router.json)
+// shows each choice flips winners across (shape, batch) regimes.
+// TunedBackend learns the choice per logical <M,K,N> shape online:
 //
 //   * explore — the first calls at a new shape round-robin a bounded
-//     candidate set (classical prepack/plain, plus each configured APA rule
-//     at one and two recursive steps), timing each candidate while still
+//     candidate set (classical gemm, plus each configured APA rule at one
+//     and two recursive steps), timing each candidate while still
 //     serving the caller a correct product;
 //   * exploit — once every candidate has `measure_reps` samples the best
 //     median-free minimum wins, the decision is committed to the choice
@@ -22,7 +22,7 @@
 //     override and serves classical.
 //
 // TunedBackend is a MatmulBackend, so DenseLayer / ConvLayer / the trainers
-// route through it unchanged, fusion epilogues and prepacked plans included.
+// route through it unchanged, fusion epilogues included.
 // With tuning disabled (or below backend.min_dim_for_fast) every call falls
 // through to the configured static backend — exactly today's hard-coded
 // behavior. The router is the one place that chooses between algorithms; an
@@ -56,12 +56,11 @@ struct RouterCandidate {
   int steps = 1;
   core::Strategy strategy = core::Strategy::kSequential;
   double lambda = 0.0;  ///< 0 = the rule's auto-optimal lambda
-  PlanVariant plan = PlanVariant::kPrepack;
 };
 
 struct RouterOptions {
   /// APA rules the router may arbitrate (candidates are derived per shape);
-  /// empty tunes classical plan variants only.
+  /// empty leaves classical gemm as the only candidate.
   std::vector<std::string> algorithms = {"bini322"};
   /// The static choice used when tuning is disabled — today's hard-coded
   /// call-site behavior. Empty selects the first entry of `algorithms`
@@ -72,7 +71,7 @@ struct RouterOptions {
   /// 2 * measure_reps recorded samples per candidate.
   int measure_reps = 2;
   /// Untimed per-candidate warm-up calls run before the timed samples. First
-  /// calls pay one-off costs (pool fills, plan packing, page faults) that
+  /// calls pay one-off costs (pool fills, page faults) that
   /// steady-state traffic never sees; measuring them biases the arbitration
   /// toward small-working-set candidates.
   int warmup_reps = 1;

@@ -183,58 +183,6 @@ TEST(PlannedGemm, PrepackedBitIdenticalToOnTheFly) {
   EXPECT_EQ(max_abs_diff(c_packed.view(), c_plain.view()), 0.0);
 }
 
-TEST(GemmPlan, PanelsMatchedByShapeAndReusedAcrossCalls) {
-  Rng rng(11);
-  const index_t k = 96, n = 64;
-  Matrix<float> w(k, n), x1(33, k), x2(70, k), c(33, n), c_ref(33, n), d(70, n),
-      d_ref(70, n);
-  fill_random_uniform<float>(w.view(), rng);
-  fill_random_uniform<float>(x1.view(), rng);
-  fill_random_uniform<float>(x2.view(), rng);
-
-  GemmPlan<float> plan;
-  EXPECT_FALSE(plan.has_packed_b());
-  plan.set_packed_b(false, w.view().as_const());
-  EXPECT_TRUE(plan.has_packed_b());
-  EXPECT_NE(plan.packed_b_for(k, n), nullptr);
-  EXPECT_EQ(plan.packed_b_for(n, k), nullptr);  // wrong op-shape: ignored
-  EXPECT_EQ(plan.packed_a_for(k, n), nullptr);  // side A never packed
-
-  // Two different batch sizes against the same packed weights.
-  plan.run(Trans::kNo, x1.view().as_const(), Trans::kNo, w.view().as_const(), c.view());
-  plan.run(Trans::kNo, x2.view().as_const(), Trans::kNo, w.view().as_const(), d.view());
-  gemm_reference<float>(Trans::kNo, Trans::kNo, 33, n, k, 1.0f, x1.data(), x1.ld(),
-                        w.data(), w.ld(), 0.0f, c_ref.data(), c_ref.ld());
-  gemm_reference<float>(Trans::kNo, Trans::kNo, 70, n, k, 1.0f, x2.data(), x2.ld(),
-                        w.data(), w.ld(), 0.0f, d_ref.data(), d_ref.ld());
-  EXPECT_LT(relative_frobenius_error(c.view().as_const(), c_ref.view().as_const()),
-            2e-5);
-  EXPECT_LT(relative_frobenius_error(d.view().as_const(), d_ref.view().as_const()),
-            2e-5);
-
-  plan.reset();
-  EXPECT_FALSE(plan.has_packed_b());
-}
-
-TEST(GemmPlan, TransposedWeightPackMatchesExplicitTranspose) {
-  Rng rng(13);
-  const index_t in = 45, out = 52, batch = 21;
-  Matrix<float> w(in, out), dy(batch, out), dx_planned(batch, in), dx_ref(batch, in);
-  fill_random_uniform<float>(w.view(), rng);
-  fill_random_uniform<float>(dy.view(), rng);
-
-  // dx = dy * W^T with W^T packed once from the stored W.
-  GemmPlan<float> plan;
-  plan.set_packed_b(/*trans=*/true, w.view().as_const());
-  plan.run(Trans::kNo, dy.view().as_const(), Trans::kYes, w.view().as_const(),
-           dx_planned.view());
-  gemm_reference<float>(Trans::kNo, Trans::kYes, batch, in, out, 1.0f, dy.data(),
-                        dy.ld(), w.data(), w.ld(), 0.0f, dx_ref.data(), dx_ref.ld());
-  EXPECT_LT(
-      relative_frobenius_error(dx_planned.view().as_const(), dx_ref.view().as_const()),
-      2e-5);
-}
-
 TEST(PlannedGemm, MismatchedPanelIsRejected) {
   Matrix<float> a(8, 8), b(8, 8), c(8, 8);
   a.set_zero();

@@ -4,8 +4,9 @@
 // team so ThreadSanitizer (-DAPAMM_TSAN=ON, TSAN_OPTIONS=suppressions=
 // tsan.supp) can observe the interleavings: read-shared packed panels across
 // concurrent planned gemms, the team-shared pack buffers inside one parallel
-// gemm, the executor's hybrid q+remainder schedule, BufferPool lease churn,
-// and the obs layer's single-producer trace rings and interning registries.
+// gemm, the executor's hybrid q+remainder schedule, concurrent inference on
+// one trained MLP, BufferPool lease churn, and the obs layer's
+// single-producer trace rings and interning registries.
 // The assertions double as correctness checks in regular builds, so the suite
 // is cheap enough to stay in tier-1.
 
@@ -17,12 +18,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blas/gemm.h"
 #include "blas/plan.h"
 #include "core/executor.h"
 #include "core/registry.h"
+#include "nn/mlp.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -53,9 +56,9 @@ Matrix<T> reference_product(const Matrix<T>& a, const Matrix<T>& b) {
 }
 
 TEST_F(ConcurrencyTest, SharedPackedPanelsAcrossConcurrentGemms) {
-  // One GemmPlan's packed panels are read-shared by 8 single-threaded gemms
-  // running concurrently — the NN layers' steady-state pattern (pack once per
-  // weight update, consume from every worker).
+  // PackedPanels read-shared by 8 single-threaded gemm_planned calls running
+  // concurrently — the APA executor's pattern under the hybrid schedule, where
+  // each thread's products consume the input blocks packed once up front.
   const index_t m = 96, k = 64, n = 80;
   Rng rng(41);
   Matrix<float> a(m, k), b(k, n);
@@ -63,9 +66,8 @@ TEST_F(ConcurrencyTest, SharedPackedPanelsAcrossConcurrentGemms) {
   fill_random_uniform<float>(b.view(), rng);
   const Matrix<float> expected = reference_product(a, b);
 
-  blas::GemmPlan<float> plan;
-  plan.set_packed_a(false, a.view().as_const());
-  plan.set_packed_b(false, b.view().as_const());
+  const auto pa = blas::PackedPanel<float>::pack_a(false, a.view().as_const());
+  const auto pb = blas::PackedPanel<float>::pack_b(false, b.view().as_const());
 
   std::vector<double> errors(kThreads, 1.0);
 #pragma omp parallel num_threads(kThreads)
@@ -74,13 +76,59 @@ TEST_F(ConcurrencyTest, SharedPackedPanelsAcrossConcurrentGemms) {
     Matrix<float> c(m, n);
     for (int rep = 0; rep < 4; ++rep) {
       c.set_zero();
-      plan.run(blas::Trans::kNo, a.view().as_const(), blas::Trans::kNo,
-               b.view().as_const(), c.view(), 1.0f, 0.0f, {}, /*num_threads=*/1);
+      blas::gemm_planned<float>(blas::Trans::kNo, a.view().as_const(), &pa,
+                                blas::Trans::kNo, b.view().as_const(), &pb, c.view(),
+                                1.0f, 0.0f, {}, /*num_threads=*/1);
     }
     errors[static_cast<std::size_t>(tid)] = relative_frobenius_error(
         c.view().as_const(), expected.view().as_const());
   }
   for (const double err : errors) EXPECT_LT(err, 1e-5);
+}
+
+TEST_F(ConcurrencyTest, ConcurrentPredictAfterTrainStepMatchesSerial) {
+  // forward() is const and keeps no per-layer cache, so threads may share one
+  // trained model for inference. The first and last layers run classical
+  // gemm, the hidden ones bini322; the concurrent calls are the first
+  // forwards after the weight update.
+  nn::BackendOptions options;
+  options.min_dim_for_fast = 32;
+  nn::MlpConfig config;
+  config.layer_sizes = {48, 96, 96, 10};
+  config.seed = 44;
+  nn::Mlp model(config, nn::MatmulBackend("bini322", options),
+                nn::MatmulBackend("classical", options));
+  ASSERT_FALSE(model.layer_uses_fast(0));
+  ASSERT_FALSE(model.layer_uses_fast(2));
+
+  const index_t batch = 64;
+  Rng rng(45);
+  Matrix<float> x(batch, 48);
+  fill_random_uniform<float>(x.view(), rng);
+  std::vector<int> labels(static_cast<std::size_t>(batch));
+  for (index_t i = 0; i < batch; ++i) {
+    labels[static_cast<std::size_t>(i)] = static_cast<int>(i % 10);
+  }
+  model.train_step(x.view().as_const(), labels);
+
+  constexpr int kCallers = 4;
+  std::vector<Matrix<float>> logits;
+  for (int t = 0; t < kCallers; ++t) logits.emplace_back(batch, 10);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&model, &x, &logits, t] {
+      model.predict(x.view().as_const(), logits[static_cast<std::size_t>(t)].view());
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+
+  Matrix<float> serial(batch, 10);
+  model.predict(x.view().as_const(), serial.view());
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(max_abs_diff(logits[static_cast<std::size_t>(t)].view(), serial.view()),
+              0.0)
+        << "caller " << t;
+  }
 }
 
 TEST_F(ConcurrencyTest, TeamSharedPackInsideParallelGemm) {

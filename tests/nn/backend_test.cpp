@@ -172,36 +172,5 @@ TEST(Backend, FusedEpilogueMatchesSeparatePassOnApaPath) {
   EXPECT_EQ(max_abs_diff(fused.view(), two_pass.view()), 0.0);
 }
 
-TEST(Backend, PrepackedPlanGivesBitIdenticalResult) {
-  // A plan holding prepacked weights must not change the classical result at
-  // all — packing is a layout transform, never an arithmetic one.
-  const auto x = random_matrix(40, 64, 11);
-  const auto w = random_matrix(64, 24, 12);
-  MatmulBackend backend("classical");
-  Matrix<float> planned(40, 24), plain(40, 24);
-
-  blas::GemmPlan<float> plan;
-  plan.set_packed_b(/*trans=*/false, w.view());
-  MatmulFusion fusion;
-  fusion.plan = &plan;
-  backend.matmul_ex(x.view().as_const(), w.view().as_const(), planned.view(), false,
-                    false, fusion);
-  backend.matmul(x.view().as_const(), w.view().as_const(), plain.view());
-  EXPECT_EQ(max_abs_diff(planned.view(), plain.view()), 0.0);
-
-  // dx orientation: the same weights packed transposed.
-  const auto dy = random_matrix(40, 24, 13);
-  Matrix<float> dx_planned(40, 64), dx_plain(40, 64);
-  blas::GemmPlan<float> dx_plan;
-  dx_plan.set_packed_b(/*trans=*/true, w.view());
-  MatmulFusion dx_fusion;
-  dx_fusion.plan = &dx_plan;
-  backend.matmul_ex(dy.view().as_const(), w.view().as_const(), dx_planned.view(),
-                    false, true, dx_fusion);
-  backend.matmul(dy.view().as_const(), w.view().as_const(), dx_plain.view(), false,
-                 true);
-  EXPECT_EQ(max_abs_diff(dx_planned.view(), dx_plain.view()), 0.0);
-}
-
 }  // namespace
 }  // namespace apa::nn

@@ -310,7 +310,7 @@ void expect_planned_matches_reference(const PlannedCase& test_case,
   fill_random_uniform<float>(dy.view(), rng, -1.0f, 1.0f);
 
   // Run the battery twice with an SGD step in between, so the second round
-  // exercises the version-counter repack of both filter plans.
+  // runs on updated filters.
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(std::string(test_case.name) + " round " + std::to_string(round));
     Matrix<float> y_ref(test_case.batch, s.out_size());
@@ -383,8 +383,8 @@ TEST(ConvPlanned, MultithreadedBackendBitIdenticalToSeedPath) {
 }
 
 TEST(ConvPlanned, ApaDispatchStillRoutesEpilogues) {
-  // On an APA dispatch the plan is ignored but the fused epilogues must still
-  // be applied (post-combine); the result tracks the APA product, not the
+  // On an APA dispatch the fused epilogues must still be applied
+  // (post-combine); the result tracks the APA product, not the
   // classical one, so compare against reference + separate passes on the same
   // APA backend.
   ConvShape s;

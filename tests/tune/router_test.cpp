@@ -26,12 +26,12 @@ constexpr index_t kDim = 96;
 constexpr char kTestCpu[] = "router-test-cpu x8";
 
 /// Deterministic cost function: bini322 one-step is always the cheapest,
-/// classical-plain the most expensive. Replaces the wall clock so explore
-/// outcomes are reproducible bit-for-bit.
+/// classical the most expensive. Replaces the wall clock so explore outcomes
+/// are reproducible bit-for-bit.
 double fixed_cost(const RouterCandidate& c, index_t /*m*/, index_t /*k*/,
                   index_t /*n*/) {
   if (c.algorithm == "bini322") return c.steps == 1 ? 1.0 : 2.0;
-  return c.plan == PlanVariant::kPlain ? 8.0 : 4.0;
+  return 4.0;
 }
 
 RouterOptions test_options() {
@@ -82,9 +82,8 @@ obstools::JsonValue route_decision(const std::string& path) {
   return decisions.empty() ? obstools::JsonValue{} : decisions.front();
 }
 
-std::string label(const std::string& algorithm, long long steps,
-                  const std::string& plan) {
-  return algorithm + "/s" + std::to_string(steps) + "/" + plan;
+std::string label(const std::string& algorithm, long long steps) {
+  return algorithm + "/s" + std::to_string(steps);
 }
 
 /// label() of each entry of a record's `key` array, in order.
@@ -94,8 +93,7 @@ std::vector<std::string> ladder(const obstools::JsonValue& record,
   const obstools::JsonValue* entries = record.find(key);
   if (entries == nullptr) return out;
   for (const obstools::JsonValue& c : entries->array) {
-    out.push_back(label(c.get_str("algorithm", ""), c.get_int("steps", 0),
-                        c.get_str("plan", "")));
+    out.push_back(label(c.get_str("algorithm", ""), c.get_int("steps", 0)));
   }
   return out;
 }
@@ -134,11 +132,10 @@ class TunedRouterTest : public ::testing::Test {
   std::optional<TunedChoice> route_;
 };
 
-// The default ladder at 96^3 with the 32 cutoff: both classical plan variants,
-// then bini322 at one and two steps.
-const std::vector<std::string> kFullLadder = {
-    "classical/s1/prepack", "classical/s1/plain", "bini322/s1/prepack",
-    "bini322/s2/prepack"};
+// The default ladder at 96^3 with the 32 cutoff: classical gemm, then bini322
+// at one and two steps.
+const std::vector<std::string> kFullLadder = {"classical/s1", "bini322/s1",
+                                              "bini322/s2"};
 
 TEST_F(TunedRouterTest, ExploresThenCommitsTheCheapestCandidate) {
   const TunedBackend backend(test_options());
@@ -220,7 +217,7 @@ TEST_F(TunedRouterTest, RouteDecisionListsEveryExploredCandidate) {
   RouterOptions options = test_options();
   options.measure_override = [&explored](const RouterCandidate& c, index_t m,
                                          index_t k, index_t n) {
-    Explored& e = explored[label(c.algorithm, c.steps, to_string(c.plan))];
+    Explored& e = explored[label(c.algorithm, c.steps)];
     ++e.calls;
     e.seconds = fixed_cost(c, m, k, n);
     return e.seconds;
@@ -267,9 +264,9 @@ TEST_F(TunedRouterTest, CostPriorPrunesCandidatesItPredictsUnprofitable) {
 
   EXPECT_FALSE(measured_apa);  // bini322 is cheapest, yet never explored
   EXPECT_EQ(ladder(record, "candidates"),
-            (std::vector<std::string>{"classical/s1/prepack", "classical/s1/plain"}));
+            (std::vector<std::string>{"classical/s1"}));
   EXPECT_EQ(ladder(record, "pruned"),
-            (std::vector<std::string>{"bini322/s1/prepack", "bini322/s2/prepack"}));
+            (std::vector<std::string>{"bini322/s1", "bini322/s2"}));
   for (const obstools::JsonValue& c : record.find("pruned")->array) {
     EXPECT_GT(c.get_num("predicted_seconds", 0.0),
               options.cost.predict_classical_seconds(kDim, kDim, kDim));
