@@ -6,11 +6,12 @@
 // B serves every m-block). A PackedPanel lifts that pack out of one call, for
 // callers that feed the same operand to several products: the APA executor
 // packs each input block that two or more of a rule's rank-r products alias
-// as a bare term, and shares the pack across those products. The pack gather
-// is transpose-aware (A^T / B^T operands cost nothing extra) and writes
-// pool-leased cache-aligned storage in the same (kc, mc/nc) block order the
-// macro-kernel consumes. A panel read by a single product saves nothing over
-// packing on the fly, so the NN layers pack per call.
+// as a bare term, and, at a level it walks in row bands, every product's B
+// (each band reads it). The pack gather is transpose-aware (A^T / B^T
+// operands cost nothing extra) and writes pool-leased cache-aligned storage
+// in the same (kc, mc/nc) block order the macro-kernel consumes. A panel read
+// by a single product saves nothing over packing on the fly, so the NN layers
+// pack per call.
 //
 // Epilogues fuse the elementwise passes NN layers otherwise make over the
 // freshly written output (bias add, ReLU, ReLU-backward masking) into the
@@ -104,9 +105,11 @@ class PackedPanel {
 
 /// c = alpha * op(A) * op(B) + beta * c, then the epilogue. `a_packed` /
 /// `b_packed` may be null (the operand is packed on the fly from its view) or
-/// must match the corresponding view's op-shape exactly. Views must always be
-/// valid — panels only bypass reading their data. num_threads == 1 performs no
-/// OpenMP calls (safe under an enclosing parallel region).
+/// must match the corresponding view's op-shape exactly. A view whose panel is
+/// given supplies only its shape and is never read, so it may carry null data
+/// (the APA executor drops a combined operand once it is packed).
+/// num_threads == 1 performs no OpenMP calls (safe under an enclosing parallel
+/// region).
 template <class T>
 void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packed,
                   Trans tb, MatrixView<const T> b, const PackedPanel<T>* b_packed,

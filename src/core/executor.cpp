@@ -7,6 +7,7 @@
 
 #include "blas/combine.h"
 #include "blas/gemm.h"
+#include "blas/packing.h"
 #include "blas/plan.h"
 #include "core/params.h"
 #include "obs/metrics.h"
@@ -54,7 +55,23 @@ Operand<T> input_block(Operand<T> mat, index_t entry, index_t grid_cols,
   return mat.block(r * block_rows, c * block_cols, block_rows, block_cols);
 }
 
+/// A product's coefficient list is a bare alias: one input block, coefficient 1.
+bool is_bare(const std::vector<std::pair<index_t, double>>& terms) {
+  return terms.size() == 1 && terms[0].second == 1.0;
+}
+
 /// Per-level execution context: owns the product buffers and geometry.
+///
+/// At the bottom level every product is one direct gemm, so the level walks C
+/// in row bands: for each band of h rows it forms the A combinations of those
+/// rows, computes the r band products into an r x h x bn stack with the
+/// strategy's schedule, and combines them into C's rows. h is the gemm's A
+/// cache-block height (kMc), so a band's gemm blocks its rows exactly as the
+/// whole product's gemm would, and every element of every product and of every
+/// combination comes from the same code in the same order as with one band. The
+/// level bands when r*bk*bn (the packed B panels every band reads) plus
+/// r*h*bn (the band stack) is less than r*bm*bn (the whole stack); otherwise
+/// it runs one band of bm rows.
 template <class T>
 class LevelRunner {
  public:
@@ -70,11 +87,30 @@ class LevelRunner {
         bm_(a.rows() / rule_.m),
         bk_(a.cols() / rule_.k),
         bn_(b.cols() / rule_.n),
-        products_(rule_.rank * bm_, bn_) {
-    if (levels_.size() == 1) prepack_shared_blocks();
+        band_rows_(levels.size() == 1 ? band_rows(bm_, bk_) : bm_),
+        products_(rule_.rank * band_rows_, bn_) {
+    if (levels_.size() == 1) prepack_panels();
   }
 
   void run() {
+    for (index_t row0 = 0; row0 < bm_; row0 += band_rows_) {
+      band_row0_ = row0;
+      band_ = std::min(band_rows_, bm_ - row0);
+      if (levels_.size() == 1) prepack_shared_a_blocks();
+      run_band();
+    }
+  }
+
+ private:
+  using Terms = std::vector<std::pair<index_t, double>>;
+
+  /// Rows per band: kMc when banding shrinks the workspace, else all bm rows.
+  static index_t band_rows(index_t bm, index_t bk) {
+    const index_t h = blas::detail::BlockShape<T>::kMc;
+    return bk + h < bm ? h : bm;
+  }
+
+  void run_band() {
     switch (strategy_) {
       case Strategy::kSequential:
         for (index_t l = 0; l < rule_.rank; ++l) compute_product(l, 1);
@@ -115,55 +151,107 @@ class LevelRunner {
     }
   }
 
- private:
+  /// Band rows of product l's slot in the stack.
   [[nodiscard]] MatrixView<T> product_view(index_t l) {
-    return products_.view().block(l * bm_, 0, bm_, bn_);
+    return products_.view().block(l * band_rows_, 0, band_, bn_);
   }
 
-  /// At the bottom level every product is a direct gemm, and any input block
-  /// aliased by 2+ bare single-unit terms would be re-packed by each of those
-  /// gemms. Pack each such block once up front; the packs are read-only during
-  /// the (possibly concurrent) product computations.
-  void prepack_shared_blocks() {
-    APA_TRACE_SCOPE("core.prepack");
-    std::map<index_t, int> a_uses, b_uses;
-    for (index_t l = 0; l < rule_.rank; ++l) {
-      const auto& ut = rule_.u_terms[static_cast<std::size_t>(l)];
-      const auto& vt = rule_.v_terms[static_cast<std::size_t>(l)];
-      if (ut.size() == 1 && ut[0].second == 1.0) ++a_uses[ut[0].first];
-      if (vt.size() == 1 && vt[0].second == 1.0) ++b_uses[vt[0].first];
+  /// The current band's rows of A's input block `entry`.
+  [[nodiscard]] Operand<T> a_block(index_t entry) const {
+    return input_block(a_, entry, rule_.k, bm_, bk_).block(band_row0_, 0, band_, bk_);
+  }
+
+  [[nodiscard]] Operand<T> b_block(index_t entry) const {
+    return input_block(b_, entry, rule_.n, bk_, bn_);
+  }
+
+  /// Threads for work done outside the strategy's schedule.
+  [[nodiscard]] int team() const {
+    return strategy_ == Strategy::kSequential ? 1 : threads_;
+  }
+
+  /// How many products alias each input block as a bare term.
+  [[nodiscard]] static std::map<index_t, index_t> bare_uses(
+      const std::vector<Terms>& terms) {
+    std::map<index_t, index_t> uses;
+    for (const Terms& t : terms) {
+      if (is_bare(t)) ++uses[t[0].first];
     }
-    for (const auto& [entry, uses] : a_uses) {
-      if (uses < 2) continue;
-      const Operand<T> blk = input_block(a_, entry, rule_.k, bm_, bk_);
+    return uses;
+  }
+
+  /// At the bottom level every product is a direct gemm that would pack its B
+  /// operand on each read. Pack once every B panel the level reads more than
+  /// once: an input block aliased as a bare term by several products, and,
+  /// when the level runs several bands, every product's B (each band reads
+  /// it). A combined B_l is formed once, packed, and its temporary dropped.
+  /// The packs are read-only during the (possibly concurrent) products.
+  /// Also records the A blocks to share within each band.
+  void prepack_panels() {
+    for (const auto& [entry, n] : bare_uses(rule_.u_terms)) {
+      if (n > 1) shared_a_.push_back(entry);
+    }
+    const index_t bands = (bm_ + band_rows_ - 1) / band_rows_;
+    {
+      APA_TRACE_SCOPE("core.prepack");
+      for (const auto& [entry, n] : bare_uses(rule_.v_terms)) {
+        if (n * bands < 2) continue;
+        const Operand<T> blk = b_block(entry);
+        b_packs_.emplace(entry,
+                         blas::PackedPanel<T>::pack_b(blk.trans, blk.view, team()));
+        APA_COUNTER_INC("core.prepack.shared_blocks");
+      }
+    }
+    if (bands < 2) return;
+    formed_b_.resize(static_cast<std::size_t>(rule_.rank));
+    for (index_t l = 0; l < rule_.rank; ++l) {
+      const Terms& vt = rule_.v_terms[static_cast<std::size_t>(l)];
+      if (is_bare(vt)) continue;
+      PooledMatrix<T> temp;
+      const Operand<T> op = [&] {
+        APA_TRACE_SCOPE_ID("core.combine_b", l);
+        return form_operand(vt, [this](index_t e) { return b_block(e); }, temp, team());
+      }();
+      APA_TRACE_SCOPE("core.prepack");
+      formed_b_[static_cast<std::size_t>(l)] =
+          blas::PackedPanel<T>::pack_b(false, op.view, team());
+    }
+  }
+
+  /// Packs, for the current band, each A input block aliased as a bare term
+  /// by two or more products, so those products' gemms share one pack.
+  void prepack_shared_a_blocks() {
+    a_packs_.clear();
+    if (shared_a_.empty()) return;
+    APA_TRACE_SCOPE("core.prepack");
+    for (const index_t entry : shared_a_) {
+      const Operand<T> blk = a_block(entry);
       a_packs_.emplace(entry, blas::PackedPanel<T>::pack_a(blk.trans, blk.view));
       APA_COUNTER_INC("core.prepack.shared_blocks");
     }
-    for (const auto& [entry, uses] : b_uses) {
-      if (uses < 2) continue;
-      const Operand<T> blk = input_block(b_, entry, rule_.n, bk_, bn_);
-      b_packs_.emplace(entry, blas::PackedPanel<T>::pack_b(blk.trans, blk.view));
-      APA_COUNTER_INC("core.prepack.shared_blocks");
-    }
   }
 
-  [[nodiscard]] const blas::PackedPanel<T>* find_pack(
-      const std::map<index_t, blas::PackedPanel<T>>& packs, index_t entry) const {
-    const auto it = packs.find(entry);
+  [[nodiscard]] static const blas::PackedPanel<T>* find_pack(
+      const std::map<index_t, blas::PackedPanel<T>>& packs, const Terms& terms) {
+    if (!is_bare(terms)) return nullptr;
+    const auto it = packs.find(terms[0].first);
     return it == packs.end() ? nullptr : &it->second;
   }
 
-  /// Forms one linear-combination operand: aliases the input block (keeping
-  /// its transpose flag) for a bare single-unit term, otherwise materializes
-  /// a plain row-major temporary via the (transposed) write-once combine.
-  Operand<T> form_operand(const std::vector<std::pair<index_t, double>>& terms_in,
-                          Operand<T> in, index_t grid_cols, index_t rows, index_t cols,
-                          PooledMatrix<T>& temp, int threads) const {
-    if (terms_in.size() == 1 && terms_in[0].second == 1.0) {
+  /// Forms one linear-combination operand from the blocks `block_of` returns:
+  /// aliases the block (keeping its transpose flag) for a bare single-unit
+  /// term, otherwise materializes a plain row-major temporary via the
+  /// (transposed) write-once combine.
+  template <class BlockOf>
+  Operand<T> form_operand(const Terms& terms_in, BlockOf block_of, PooledMatrix<T>& temp,
+                          int threads) const {
+    if (is_bare(terms_in)) {
       APA_COUNTER_INC("core.operand.aliased");
-      return input_block(in, terms_in[0].first, grid_cols, rows, cols);
+      return block_of(terms_in[0].first);
     }
     APA_COUNTER_INC("core.operand.materialized");
+    const Operand<T> shape = block_of(0);  // every block: same shape, same flag
+    const index_t rows = shape.rows(), cols = shape.cols();
     // Write-once combine traffic (each source block read once, the temp
     // written once) — with the combine_* phase times this calibrates the cost
     // model's addition bandwidth from real traffic (src/tune/calibrate.h).
@@ -174,11 +262,10 @@ class LevelRunner {
     std::vector<blas::Scaled<T>> terms;
     terms.reserve(terms_in.size());
     for (const auto& [entry, coeff] : terms_in) {
-      terms.push_back(
-          {static_cast<T>(coeff), input_block(in, entry, grid_cols, rows, cols).view});
+      terms.push_back({static_cast<T>(coeff), block_of(entry).view});
     }
     temp = PooledMatrix<T>(rows, cols);
-    if (in.trans) {
+    if (shape.trans) {
       blas::linear_combination_transposed<T>(terms, temp.view(), threads);
     } else {
       blas::linear_combination<T>(terms, temp.view(), threads);
@@ -186,50 +273,52 @@ class LevelRunner {
     return Operand<T>{temp.view().as_const(), false};
   }
 
-  /// Forms A_l and B_l (skipping the copy when a combination is a single
-  /// unit-coefficient term) and multiplies into M_l.
+  /// Forms the band's A_l and (unless prepacked) B_l, skipping the copy when a
+  /// combination is a single unit-coefficient term, and multiplies into M_l.
   void compute_product(index_t l, int threads) {
-    const auto& ut = rule_.u_terms[static_cast<std::size_t>(l)];
-    const auto& vt = rule_.v_terms[static_cast<std::size_t>(l)];
+    const auto li = static_cast<std::size_t>(l);
+    const Terms& ut = rule_.u_terms[li];
+    const Terms& vt = rule_.v_terms[li];
 
     PooledMatrix<T> a_temp, b_temp;
     const Operand<T> a_op = [&] {
       APA_TRACE_SCOPE_ID("core.combine_a", l);
-      return form_operand(ut, a_, rule_.k, bm_, bk_, a_temp, threads);
+      return form_operand(ut, [this](index_t e) { return a_block(e); }, a_temp, threads);
     }();
+    // A B_l combined and packed up front has no view left: its gemm reads only
+    // the pack, so the operand carries just the shape.
+    const bool formed = li < formed_b_.size() && !formed_b_[li].empty();
     const Operand<T> b_op = [&] {
+      if (formed) return Operand<T>{MatrixView<const T>(nullptr, bk_, bn_, bn_), false};
       APA_TRACE_SCOPE_ID("core.combine_b", l);
-      return form_operand(vt, b_, rule_.n, bk_, bn_, b_temp, threads);
+      return form_operand(vt, [this](index_t e) { return b_block(e); }, b_temp, threads);
     }();
 
     // Sub-multiplication: descend the chain while levels remain, else gemm
-    // (reusing the prepacked panel when this product aliases a shared block).
+    // (reusing the prepacked panels of shared or banded operands).
     APA_TRACE_SCOPE_ID("core.submul", l);
     if (levels_.size() > 1) {
       run_chain<T>(levels_.subspan(1), a_op, b_op, product_view(l),
                    threads > 1 ? strategy_ : Strategy::kSequential, threads);
     } else {
-      const blas::PackedPanel<T>* a_pack =
-          (ut.size() == 1 && ut[0].second == 1.0) ? find_pack(a_packs_, ut[0].first)
-                                                  : nullptr;
       const blas::PackedPanel<T>* b_pack =
-          (vt.size() == 1 && vt[0].second == 1.0) ? find_pack(b_packs_, vt[0].first)
-                                                  : nullptr;
-      blas::gemm_planned<T>(a_op.trans_flag(), a_op.view, a_pack, b_op.trans_flag(),
-                            b_op.view, b_pack, product_view(l), T{1}, T{0}, {},
-                            threads);
+          formed ? &formed_b_[li] : find_pack(b_packs_, vt);
+      blas::gemm_planned<T>(a_op.trans_flag(), a_op.view, find_pack(a_packs_, ut),
+                            b_op.trans_flag(), b_op.view, b_pack, product_view(l), T{1},
+                            T{0}, {}, threads);
     }
   }
 
-  /// C blocks = W-combinations of the products, write-once, rows parallelized
-  /// inside each combination (memory-bandwidth bound, paper section 3.2).
+  /// The band's rows of the C blocks = W-combinations of the products,
+  /// write-once, rows parallelized inside each combination (memory-bandwidth
+  /// bound, paper section 3.2).
   void combine_outputs(int threads) {
     for (index_t e = 0; e < rule_.m * rule_.n; ++e) {
       APA_TRACE_SCOPE_ID("core.combine_c", e);
       const auto& wt = rule_.w_terms[static_cast<std::size_t>(e)];
       APA_COUNTER_ADD("core.combine.bytes",
                       (static_cast<std::uint64_t>(wt.size()) + 1) *
-                          static_cast<std::uint64_t>(bm_) *
+                          static_cast<std::uint64_t>(band_) *
                           static_cast<std::uint64_t>(bn_) * sizeof(T));
       std::vector<blas::Scaled<T>> terms;
       terms.reserve(wt.size());
@@ -238,7 +327,8 @@ class LevelRunner {
       }
       const index_t r = e / rule_.n;
       const index_t col = e % rule_.n;
-      blas::linear_combination<T>(terms, c_.block(r * bm_, col * bn_, bm_, bn_), threads);
+      blas::linear_combination<T>(
+          terms, c_.block(r * bm_ + band_row0_, col * bn_, band_, bn_), threads);
     }
   }
 
@@ -250,8 +340,16 @@ class LevelRunner {
   Strategy strategy_;
   int threads_;
   index_t bm_, bk_, bn_;
-  PooledMatrix<T> products_;  // rank stacked (bm x bn) blocks
-  std::map<index_t, blas::PackedPanel<T>> a_packs_, b_packs_;  // bottom level only
+  index_t band_rows_;          // rows per band (bm_ when the level runs one band)
+  index_t band_row0_ = 0;      // current band: first row within each block row
+  index_t band_ = 0;           // current band: row count
+  PooledMatrix<T> products_;   // rank stacked (band_rows_ x bn) blocks
+  // Bottom level only: shared A blocks (entries, and their packs for the
+  // current band), shared B blocks, and the combined B_l of a banded level
+  // (empty for bare B_l).
+  std::vector<index_t> shared_a_;
+  std::map<index_t, blas::PackedPanel<T>> a_packs_, b_packs_;
+  std::vector<blas::PackedPanel<T>> formed_b_;
 };
 
 template <class T>

@@ -17,6 +17,15 @@
 // Non-divisible dimensions are handled by dynamic peeling at each level: the
 // rule runs on the largest block-divisible core (zero-copy views), and thin
 // classical gemms finish the fringe rows, columns and k-slices.
+//
+// Workspace: a level stacks its r products (bm x bn blocks) before combining
+// them into C. At the bottom level, where every product is one gemm, a tall
+// level instead walks C in row bands of h = kMc rows (the gemm's A block
+// height): it packs each product's B once per call, then per band forms the
+// A combinations of those rows, computes the r band products into an
+// r x h x bn stack under the same strategy, and combines them into C's rows.
+// It bands when r*bk*bn + r*h*bn < r*bm*bn, i.e. bk + h < bm; the result is
+// bit-identical either way, since no element's arithmetic changes.
 
 #include <span>
 

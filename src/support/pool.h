@@ -5,7 +5,13 @@
 // training loop the same sizes recur every step, so recycling turns those
 // mallocs (large enough to be mmap-backed, i.e. page-fault heavy) into
 // free-list pops. Buffers are keyed by exact element count.
+//
+// The pool also measures workspace: every lease (PooledBuffer, PooledMatrix,
+// hence the executor's product stacks and temporaries, PackedPanels and the
+// gemm pack buffers) is counted from acquire() to release(), and a resettable
+// high-water mark records the most bytes leased at once.
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <vector>
@@ -31,6 +37,8 @@ class BufferPool {
     if (count == 0) return {};
     {
       MutexLock lock(mutex_);
+      leased_bytes_ += count * sizeof(T);
+      high_water_bytes_ = std::max(high_water_bytes_, leased_bytes_);
       auto it = free_.find(count);
       if (it != free_.end() && !it->second.empty()) {
         AlignedBuffer<T> buf = std::move(it->second.back());
@@ -47,6 +55,7 @@ class BufferPool {
   void release(AlignedBuffer<T>&& buffer) {
     if (buffer.empty()) return;
     MutexLock lock(mutex_);
+    leased_bytes_ -= std::min(leased_bytes_, buffer.size() * sizeof(T));
     if (cached_count_ >= kMaxCached) return;  // drop: destructor frees
     ++cached_count_;
     free_[buffer.size()].push_back(std::move(buffer));
@@ -64,12 +73,32 @@ class BufferPool {
     return cached_count_;
   }
 
+  /// Bytes acquired and not yet released.
+  [[nodiscard]] std::size_t leased_bytes() const {
+    MutexLock lock(mutex_);
+    return leased_bytes_;
+  }
+
+  /// The most bytes leased at once since the last reset_high_water().
+  [[nodiscard]] std::size_t high_water_bytes() const {
+    MutexLock lock(mutex_);
+    return high_water_bytes_;
+  }
+
+  /// Restarts the high-water mark from the bytes leased now.
+  void reset_high_water() {
+    MutexLock lock(mutex_);
+    high_water_bytes_ = leased_bytes_;
+  }
+
  private:
   static constexpr std::size_t kMaxCached = 256;
   mutable Mutex mutex_;
   std::map<std::size_t, std::vector<AlignedBuffer<T>>> free_
       APAMM_GUARDED_BY(mutex_);
   std::size_t cached_count_ APAMM_GUARDED_BY(mutex_) = 0;
+  std::size_t leased_bytes_ APAMM_GUARDED_BY(mutex_) = 0;
+  std::size_t high_water_bytes_ APAMM_GUARDED_BY(mutex_) = 0;
 };
 
 /// RAII lease of a raw pool buffer (1-D). Acquired from the singleton pool on

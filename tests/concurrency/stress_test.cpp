@@ -4,11 +4,14 @@
 // team so ThreadSanitizer (-DAPAMM_TSAN=ON, TSAN_OPTIONS=suppressions=
 // tsan.supp) can observe the interleavings: read-shared packed panels across
 // concurrent planned gemms, the team-shared pack buffers inside one parallel
-// gemm, the executor's hybrid q+remainder schedule, concurrent inference on
-// one trained MLP, BufferPool lease churn, and the obs layer's
-// single-producer trace rings and interning registries.
+// gemm, the executor's hybrid q+remainder schedule (one band and row-banded),
+// concurrent inference on one trained MLP, BufferPool lease churn, and the obs
+// layer's single-producer trace rings and interning registries.
 // The assertions double as correctness checks in regular builds, so the suite
-// is cheap enough to stay in tier-1.
+// is cheap enough to stay in tier-1. Under TSan run one test per process, as
+// ctest does: run whole, the binary reports false races on stack slots an
+// OpenMP worker of an earlier test last touched, because TSan cannot see
+// libgomp's join barrier (docs/STATIC_ANALYSIS.md).
 
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -156,27 +159,38 @@ TEST_F(ConcurrencyTest, HybridAndBfsExecutorSchedulesUnderFullTeam) {
   // The paper's hybrid schedule: q products per thread with single-threaded
   // gemm, then the remainder with the whole team. strassen (exact) keeps the
   // tolerance tight; bini322 additionally exercises a non-zero remainder wave.
-  const index_t dim = 128;
-  Rng rng(43);
-  Matrix<float> a(dim, dim), b(dim, dim), c(dim, dim);
-  fill_random_uniform<float>(a.view(), rng);
-  fill_random_uniform<float>(b.view(), rng);
-  const Matrix<float> expected = reference_product(a, b);
-  for (const char* algo : {"strassen", "bini322"}) {
-    const core::Rule& rule = core::rule_by_name(algo);
-    for (const core::Strategy strategy :
-         {core::Strategy::kHybrid, core::Strategy::kBfs}) {
-      core::ExecOptions options;
-      options.steps = 1;
-      options.strategy = strategy;
-      options.num_threads = kThreads;
-      c.set_zero();
-      core::multiply<float>(rule, a.view().as_const(), b.view().as_const(),
-                            c.view(), options);
-      EXPECT_LT(relative_frobenius_error(c.view().as_const(),
-                                         expected.view().as_const()),
-                1e-2)
-          << algo << "/" << core::to_string(strategy);
+  // The tall 421 x 8 x 32 input makes the executor walk C in row bands (two
+  // per rule, the last one short, plus a peeled fringe row): every band's
+  // products read-share the B panels packed once per call, and the stack is
+  // reused band after band. It is kept small because TSan forgets a thread's
+  // older accesses: past its history window it cannot restore the stack of a
+  // libgomp worker's write, so the libgomp suppressions cannot match and the
+  // fork/join hand-off it cannot see reads as a race.
+  struct Shape {
+    index_t m, k, n;
+  };
+  for (const Shape shape : {Shape{128, 128, 128}, Shape{421, 8, 32}}) {
+    Rng rng(43);
+    Matrix<float> a(shape.m, shape.k), b(shape.k, shape.n), c(shape.m, shape.n);
+    fill_random_uniform<float>(a.view(), rng);
+    fill_random_uniform<float>(b.view(), rng);
+    const Matrix<float> expected = reference_product(a, b);
+    for (const char* algo : {"strassen", "bini322"}) {
+      const core::Rule& rule = core::rule_by_name(algo);
+      for (const core::Strategy strategy :
+           {core::Strategy::kHybrid, core::Strategy::kBfs}) {
+        core::ExecOptions options;
+        options.steps = 1;
+        options.strategy = strategy;
+        options.num_threads = kThreads;
+        c.set_zero();
+        core::multiply<float>(rule, a.view().as_const(), b.view().as_const(),
+                              c.view(), options);
+        EXPECT_LT(relative_frobenius_error(c.view().as_const(),
+                                           expected.view().as_const()),
+                  1e-2)
+            << algo << "/" << core::to_string(strategy) << " m=" << shape.m;
+      }
     }
   }
 }

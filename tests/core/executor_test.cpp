@@ -4,15 +4,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "blas/combine.h"
 #include "blas/gemm.h"
+#include "blas/packing.h"
+#include "blas/plan.h"
 #include "core/catalog.h"
 #include "core/params.h"
 #include "core/registry.h"
+#include "support/pool.h"
 #include "support/rng.h"
 
 namespace apa::core {
@@ -430,6 +435,195 @@ TEST(Executor, TransposedStridedViews) {
                               a_blk.data, a_blk.ld, b_blk.data, b_blk.ld, 0.0f,
                               c_ref.data(), c_ref.ld());
   EXPECT_LT(relative_frobenius_error(c.view(), c_ref.view()), 1e-4);
+}
+
+/// Zero-copy logical view of a stored operand (`trans`: the logical operand is
+/// the transpose of the stored view), as the executor's blocks flow.
+struct RefOperand {
+  MatrixView<const float> view;
+  bool trans = false;
+
+  [[nodiscard]] RefOperand block(index_t i0, index_t j0, index_t r, index_t c) const {
+    return trans ? RefOperand{view.block(j0, i0, c, r), true}
+                 : RefOperand{view.block(i0, j0, r, c), false};
+  }
+  [[nodiscard]] blas::Trans flag() const {
+    return trans ? blas::Trans::kYes : blas::Trans::kNo;
+  }
+};
+
+/// The stacked one-level schedule built from public pieces: each product's A
+/// and B combinations (a bare unit term is aliased), its gemm into an r-deep
+/// stack of bm x bn blocks, the W combinations into C, then the classical
+/// fringe gemms of dynamic peeling. Temporaries and the stack are pool leases.
+void stacked_reference(const EvaluatedRule& rule, RefOperand a, RefOperand b,
+                       MatrixView<float> c) {
+  const index_t m = c.rows, n = c.cols, k = a.trans ? a.view.rows : a.view.cols;
+  const index_t m0 = m / rule.m * rule.m, k0 = k / rule.k * rule.k,
+                n0 = n / rule.n * rule.n;
+  const index_t bm = m0 / rule.m, bk = k0 / rule.k, bn = n0 / rule.n;
+  const auto gemm = [](RefOperand x, RefOperand y, MatrixView<float> out, float beta) {
+    blas::gemm_planned<float>(x.flag(), x.view, nullptr, y.flag(), y.view, nullptr, out,
+                              1.0f, beta);
+  };
+  const auto form = [](const std::vector<std::pair<index_t, double>>& terms,
+                       RefOperand in, index_t grid_cols, index_t rows, index_t cols,
+                       PooledMatrix<float>& temp) {
+    const auto blk = [&](index_t e) {
+      return in.block(e / grid_cols * rows, e % grid_cols * cols, rows, cols);
+    };
+    if (terms.size() == 1 && terms[0].second == 1.0) return blk(terms[0].first);
+    std::vector<blas::Scaled<float>> scaled;
+    for (const auto& [e, coeff] : terms) {
+      scaled.push_back({static_cast<float>(coeff), blk(e).view});
+    }
+    temp = PooledMatrix<float>(rows, cols);
+    if (in.trans) {
+      blas::linear_combination_transposed<float>(scaled, temp.view());
+    } else {
+      blas::linear_combination<float>(scaled, temp.view());
+    }
+    return RefOperand{temp.view().as_const(), false};
+  };
+
+  PooledMatrix<float> stack(rule.rank * bm, bn);
+  const RefOperand a_core = a.block(0, 0, m0, k0), b_core = b.block(0, 0, k0, n0);
+  for (index_t l = 0; l < rule.rank; ++l) {
+    const auto li = static_cast<std::size_t>(l);
+    PooledMatrix<float> a_temp, b_temp;
+    const RefOperand a_l = form(rule.u_terms[li], a_core, rule.k, bm, bk, a_temp);
+    const RefOperand b_l = form(rule.v_terms[li], b_core, rule.n, bk, bn, b_temp);
+    gemm(a_l, b_l, stack.view().block(l * bm, 0, bm, bn), 0.0f);
+  }
+  for (index_t e = 0; e < rule.m * rule.n; ++e) {
+    std::vector<blas::Scaled<float>> terms;
+    for (const auto& [l, coeff] : rule.w_terms[static_cast<std::size_t>(e)]) {
+      terms.push_back(
+          {static_cast<float>(coeff), stack.cview().block(l * bm, 0, bm, bn)});
+    }
+    blas::linear_combination<float>(terms,
+                                    c.block(e / rule.n * bm, e % rule.n * bn, bm, bn));
+  }
+  if (k0 < k) {
+    gemm(a.block(0, k0, m0, k - k0), b.block(k0, 0, k - k0, n0), c.block(0, 0, m0, n0),
+         1.0f);
+  }
+  if (n0 < n) {
+    gemm(a.block(0, 0, m0, k), b.block(0, n0, k, n - n0), c.block(0, n0, m0, n - n0),
+         0.0f);
+  }
+  if (m0 < m) gemm(a.block(m0, 0, m - m0, k), b, c.block(m0, 0, m - m0, n), 0.0f);
+}
+
+EvaluatedRule evaluated(const std::string& algo) {
+  const Rule& rule = rule_by_name(algo);
+  return EvaluatedRule::from(rule,
+                             analyze(rule).optimal_lambda(kPrecisionBitsSingle, 1));
+}
+
+/// Rows per band at a banded bottom level: the gemm's A cache-block height.
+constexpr index_t kBandRows = blas::detail::BlockShape<float>::kMc;
+
+class ExecutorBands : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ExecutorBands, BitIdenticalToStackedSchedule) {
+  const EvaluatedRule rule = evaluated(GetParam());
+  // 4030 rows: a multiple of neither the band height nor rule.m, so a short
+  // last band and a peeled m-fringe both occur; 198 rows run one band.
+  for (const index_t m : {index_t{4030}, index_t{198}}) {
+    const index_t k = 64, n = 512;
+    const index_t bm = m / rule.m, bk = k / rule.k;
+    EXPECT_EQ(bk + kBandRows < bm, m == 4030) << "banding of m=" << m;
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        Rng rng(static_cast<std::uint64_t>(m + 2 * ta + tb));
+        Matrix<float> a(ta ? k : m, ta ? m : k), b(tb ? n : k, tb ? k : n);
+        fill_random_uniform<float>(a.view(), rng);
+        fill_random_uniform<float>(b.view(), rng);
+        Matrix<float> expected(m, n);
+        stacked_reference(rule, {a.view().as_const(), ta}, {b.view().as_const(), tb},
+                          expected.view());
+        for (const Strategy s : {Strategy::kSequential, Strategy::kDfs, Strategy::kBfs,
+                                 Strategy::kHybrid}) {
+          for (const int threads : {1, 4}) {
+            Matrix<float> c(m, n);
+            multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1,
+                            s, threads, ta, tb);
+            EXPECT_EQ(std::memcmp(c.data(), expected.data(),
+                                  static_cast<std::size_t>(m * n) * sizeof(float)),
+                      0)
+                << GetParam() << " m=" << m << " ta=" << ta << " tb=" << tb << " "
+                << to_string(s) << "/" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rules, ExecutorBands,
+                         ::testing::Values("strassen", "bini322", "fast442"));
+
+/// Pool bytes leased at once while `run` executes, above what was leased before.
+template <class F>
+std::size_t workspace_bytes(F&& run) {
+  auto& pool = BufferPool<float>::instance();
+  const std::size_t before = pool.leased_bytes();
+  pool.reset_high_water();
+  run();
+  return pool.high_water_bytes() - before;
+}
+
+TEST(ExecutorWorkspace, BandedTallProductStaysWithinBandedBound) {
+  const EvaluatedRule rule = evaluated("fast442");
+  const index_t m = 4030, k = 64, n = 512, threads = 4;
+  const index_t r = rule.rank, bm = m / rule.m, bk = k / rule.k, bn = n / rule.n;
+  ASSERT_LT(bk + kBandRows, bm);
+  Rng rng(7);
+  Matrix<float> a(m, k), b(k, n), c(m, n);
+  fill_random_uniform<float>(a.view(), rng);
+  fill_random_uniform<float>(b.view(), rng);
+  const std::size_t used = workspace_bytes([&] {
+    multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1,
+                    Strategy::kHybrid, threads);
+  });
+  // The packed B panels and the band stack, plus per band the A combinations
+  // and shared A packs (at most two h x bk blocks per product), each thread's
+  // gemm A pack buffer, and one B combination while the panels are packed. The
+  // fringe gemm afterwards leases a full A and B pack buffer.
+  using Block = blas::detail::BlockShape<float>;
+  const std::size_t level = static_cast<std::size_t>(
+      r * (bk * bn + kBandRows * bn + 2 * kBandRows * bk) +
+      threads * Block::kMc * Block::kKc + bk * bn);
+  const std::size_t fringe =
+      static_cast<std::size_t>(Block::kMc * Block::kKc + Block::kKc * Block::kNc);
+  EXPECT_LE(used, std::max(level, fringe) * sizeof(float));
+  EXPECT_LT(used, static_cast<std::size_t>(r * bm * bn) * sizeof(float) / 4);
+}
+
+TEST(ExecutorWorkspace, OneBandShapeMatchesStackedSchedule) {
+  // bk + h >= bm: the level keeps today's whole r x bm x bn stack, and its
+  // leases (stack, then each product's temporaries and gemm pack buffers)
+  // peak exactly where the stacked schedule's do. strassen aliases no input
+  // block twice, so no shared pack adds to either.
+  const EvaluatedRule rule = evaluated("strassen");
+  const index_t m = 256, k = 64, n = 128;
+  const index_t bm = m / rule.m, bk = k / rule.k, bn = n / rule.n;
+  ASSERT_GE(bk + kBandRows, bm);
+  Rng rng(8);
+  Matrix<float> a(m, k), b(k, n), c(m, n), expected(m, n);
+  fill_random_uniform<float>(a.view(), rng);
+  fill_random_uniform<float>(b.view(), rng);
+  const std::size_t reference = workspace_bytes([&] {
+    stacked_reference(rule, {a.view().as_const(), false}, {b.view().as_const(), false},
+                      expected.view());
+  });
+  const std::size_t used = workspace_bytes([&] {
+    multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1,
+                    Strategy::kSequential, 1);
+  });
+  EXPECT_EQ(used, reference);
+  EXPECT_GE(used, static_cast<std::size_t>(rule.rank * bm * bn) * sizeof(float));
 }
 
 }  // namespace

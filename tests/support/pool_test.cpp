@@ -68,6 +68,25 @@ TEST(BufferPool, ConcurrentAcquireReleaseIsSafe) {
   pool.clear();
 }
 
+TEST(BufferPool, HighWaterTracksBytesLeasedAtOnce) {
+  auto& pool = BufferPool<float>::instance();
+  const std::size_t base = pool.leased_bytes();
+  pool.reset_high_water();
+  EXPECT_EQ(pool.high_water_bytes(), base);
+  {
+    PooledBuffer<float> a(100);
+    PooledMatrix<float> b(10, 20);
+    EXPECT_EQ(pool.leased_bytes(), base + 300 * sizeof(float));
+  }
+  EXPECT_EQ(pool.leased_bytes(), base);
+  { PooledBuffer<float> c(50); }  // a later, smaller lease leaves the mark
+  EXPECT_EQ(pool.high_water_bytes(), base + 300 * sizeof(float));
+  pool.reset_high_water();  // restarts from what is leased now
+  EXPECT_EQ(pool.high_water_bytes(), base);
+  { PooledBuffer<float> d(50); }
+  EXPECT_EQ(pool.high_water_bytes(), base + 50 * sizeof(float));
+}
+
 TEST(PooledMatrix, ViewShapeAndZeroing) {
   PooledMatrix<float> m(4, 5);
   m.set_zero();
