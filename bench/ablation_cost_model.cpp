@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
@@ -28,6 +29,8 @@
 #include "support/rng.h"
 #include "support/table.h"
 #include "tune/calibrate.h"
+
+constexpr int kRounds = 5;  // interleaved rounds per comparison
 
 int main(int argc, char** argv) {
   using namespace apa;
@@ -49,18 +52,21 @@ int main(int argc, char** argv) {
     bandwidth = calibration.add_bandwidth;
     std::printf(
         "Ablation: cost model vs measurement (calibrated %s: %.1f gemm "
-        "GFLOPS, %.1f GB/s add bandwidth)\n\n",
+        "GFLOPS, %.1f GB/s add bandwidth)\n",
         calibration.from_obs ? "from obs registry" : "from wall-clock probes",
         calibration.gemm_gflops, bandwidth * 1e-9);
   } else {
     bandwidth = core::measure_add_bandwidth();
     std::printf(
         "Ablation: cost model vs measurement (measured add bandwidth %.1f "
-        "GB/s)\n\n",
+        "GB/s)\n",
         bandwidth * 1e-9);
   }
-  TablePrinter table({"algorithm", "dim", "pred-mul", "pred-add", "pred-total",
-                      "measured", "ratio"});
+  std::printf("%d interleaved rounds per dim, ratio = seconds / classical seconds, "
+              "model = seconds / pred-total\n\n",
+              kRounds);
+  TablePrinter table(bench::report_columns({"algorithm", "dim"},
+                                           {"pred-mul", "pred-add", "pred-total", "model"}));
 
   for (const auto dim : dims) {
     Rng rng(static_cast<std::uint64_t>(dim));
@@ -68,6 +74,13 @@ int main(int argc, char** argv) {
     fill_random_uniform<float>(a.view(), rng);
     fill_random_uniform<float>(b.view(), rng);
 
+    const auto multiply = [&](const std::string& name) {
+      return bench::Variant{name, [&, mm = core::FastMatmul(name)] {
+                              mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
+                            }};
+    };
+    std::vector<bench::Variant> variants = {multiply("classical")};
+    std::vector<core::CostBreakdown> predictions(1);  // none for classical
     for (const auto& name : algos) {
       if (name == "classical") continue;
       const core::Rule& rule = core::rule_by_name(name);
@@ -83,30 +96,35 @@ int main(int argc, char** argv) {
         fill_random_uniform<float>(sa.view(), rng);
         fill_random_uniform<float>(sb.view(), rng);
         inputs.sub_gemm_seconds =
-            bench::time_workload([&] {
-              blas::gemm<float>(sa.view(), sb.view(), sc.view());
-            }).min_seconds;
+            bench::run_rounds({{"sub-gemm", [&] {
+                                  blas::gemm<float>(sa.view(), sb.view(), sc.view());
+                                }}},
+                              kRounds)
+                .time(0)
+                .median;
         inputs.add_bandwidth = bandwidth;
       }
-      const auto predicted = core::predict_one_step(rule, dim, dim, dim, inputs);
-
-      const core::FastMatmul mm(name);
-      const double measured =
-          bench::time_workload([&] {
-            mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
-          }).min_seconds;
-
-      table.add_row({name, std::to_string(dim), format_double(predicted.multiply_seconds, 4),
-                     format_double(predicted.addition_seconds, 4),
-                     format_double(predicted.total(), 4), format_double(measured, 4),
-                     format_double(measured / predicted.total(), 3)});
+      variants.push_back(multiply(name));
+      predictions.push_back(core::predict_one_step(rule, dim, dim, dim, inputs));
+    }
+    const bench::Rounds timed = bench::run_rounds(variants, kRounds);
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      const auto& p = predictions[i];
+      const std::vector<std::string> model =
+          i == 0 ? std::vector<std::string>(4, "-")
+                 : std::vector<std::string>{format_double(p.multiply_seconds, 4),
+                                            format_double(p.addition_seconds, 4),
+                                            format_double(p.total(), 4),
+                                            format_double(timed.time(i).median / p.total(), 3)};
+      table.add_row(
+          bench::report_cells({timed.names[i], std::to_string(dim)}, timed, i, 0, model));
     }
   }
 
   table.print();
   table.write_csv(args.get("csv", ""));
   std::printf(
-      "\nExpected: ratio near 1 (model captures the two erosion terms); the\n"
+      "\nExpected: model near 1 (it captures the two erosion terms); the\n"
       "addition share grows with nnz, explaining why sparse rules win (2.4).\n");
   return 0;
 }

@@ -7,6 +7,7 @@
 // Usage: ablation_exact_vs_apa [--dim=1536] [--csv=out.csv]
 
 #include <cstdio>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "support/cli.h"
 #include "support/rng.h"
 #include "support/table.h"
+
+constexpr int kRounds = 5;  // interleaved rounds per comparison
 
 int main(int argc, char** argv) {
   using namespace apa;
@@ -43,34 +46,30 @@ int main(int argc, char** argv) {
   ranks.write_csv(args.get("csv", ""));
 
   // Head-to-head timing at one representative shape: <3,3,3>.
-  std::printf("\nTiming at dim=%ld with <3,3,3> constructions:\n\n",
-              static_cast<long>(dim));
+  std::printf("\nTiming at dim=%ld with <3,3,3> constructions, %d interleaved rounds,\n"
+              "ratio = seconds / classical seconds:\n\n",
+              static_cast<long>(dim), kRounds);
   Rng rng(9);
   Matrix<float> a(dim, dim), b(dim, dim), c(dim, dim);
   fill_random_uniform<float>(a.view(), rng);
   fill_random_uniform<float>(b.view(), rng);
 
-  TablePrinter timing({"construction", "rank", "seconds", "vs-classical%"});
-  double classical_seconds = 0;
-  {
-    const core::FastMatmul mm("classical");
-    classical_seconds =
-        bench::time_workload([&] {
-          mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
-        }).min_seconds;
-    timing.add_row({"classical", "27", format_double(classical_seconds, 4), "0.0"});
+  const std::vector<core::FastMatmul> mms = {
+      core::FastMatmul("classical"), core::FastMatmul(core::design(3, 3, 3, {.allow_apa = false})),
+      core::FastMatmul(core::design(3, 3, 3, {.allow_apa = true}))};
+  const std::vector<std::string> names = {"classical", "best exact <3,3,3>",
+                                          "best APA <3,3,3>"};
+  std::vector<bench::Variant> variants;
+  for (std::size_t i = 0; i < mms.size(); ++i) {
+    variants.push_back({names[i], [&, mm = mms[i]] {
+                          mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
+                        }});
   }
-  for (const bool allow_apa : {false, true}) {
-    core::Rule rule = core::design(3, 3, 3, {.allow_apa = allow_apa});
-    const index_t rank = rule.rank;
-    const core::FastMatmul mm(std::move(rule));
-    const double seconds =
-        bench::time_workload([&] {
-          mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
-        }).min_seconds;
-    timing.add_row({allow_apa ? "best APA <3,3,3>" : "best exact <3,3,3>",
-                    std::to_string(rank), format_double(seconds, 4),
-                    format_double(100.0 * (classical_seconds / seconds - 1.0), 1)});
+  const bench::Rounds timed = bench::run_rounds(variants, kRounds);
+  TablePrinter timing(bench::report_columns({"construction", "rank"}));
+  for (std::size_t i = 0; i < mms.size(); ++i) {
+    const index_t rank = mms[i].is_classical() ? 27 : mms[i].rule().rank;
+    timing.add_row(bench::report_cells({names[i], std::to_string(rank)}, timed, i, 0));
   }
   timing.print();
   std::printf(

@@ -6,25 +6,30 @@
 // Usage: ablation_recursion [--dims=768,1536] [--algos=...] [--csv=out.csv]
 
 #include <cstdio>
+#include <string>
 
 #include "benchutil/algos.h"
 #include "benchutil/harness.h"
 #include "core/fastmm.h"
 #include "core/lambda_opt.h"
-#include "core/registry.h"
 #include "support/cli.h"
 #include "support/rng.h"
 #include "support/table.h"
+
+constexpr int kRounds = 5;  // interleaved rounds per comparison
 
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
   const auto dims = args.get_int_list("dims", {768, 1536});
-  const auto algos = bench::resolve_algorithms(
-      args.get_list("algos", {"classical", "strassen", "bini322", "fast444"}));
+  const auto algos = bench::with_classical_first(bench::resolve_algorithms(
+      args.get_list("algos", {"classical", "strassen", "bini322", "fast444"})));
 
-  std::printf("Ablation: recursive depth (1 vs 2 steps)\n\n");
-  TablePrinter table({"algorithm", "dim", "steps", "seconds", "rel-error", "pred-bound"});
+  std::printf("Ablation: recursive depth (1 vs 2 steps)\n");
+  std::printf("%d interleaved rounds per dim, ratio = seconds / classical seconds\n\n",
+              kRounds);
+  TablePrinter table(
+      bench::report_columns({"algorithm", "dim", "steps"}, {"rel-error", "pred-bound"}));
 
   for (const auto dim : dims) {
     Rng rng(static_cast<std::uint64_t>(dim) + 1);
@@ -32,29 +37,36 @@ int main(int argc, char** argv) {
     fill_random_uniform<float>(a.view(), rng);
     fill_random_uniform<float>(b.view(), rng);
 
+    std::vector<core::FastMatmul> mms;
     for (const auto& name : algos) {
-      const int max_steps = name == "classical" ? 1 : 2;
-      for (int steps = 1; steps <= max_steps; ++steps) {
+      for (int steps = 1; steps <= (name == "classical" ? 1 : 2); ++steps) {
         core::FastMatmulOptions options;
         options.steps = steps;
-        const core::FastMatmul mm(name, options);
-        const auto result = bench::time_workload(
-            [&] { mm.multiply(a.view().as_const(), b.view().as_const(), c.view()); });
-
-        std::string error = "-", bound = "-";
-        if (name != "classical") {
-          const core::Rule& rule = core::rule_by_name(name);
-          core::LambdaSearchOptions err_opts;
-          err_opts.dim = 240;  // error is dimension-flat (Fig 1); keep it cheap
-          err_opts.steps = steps;
-          error = format_sci(
-              core::measure_error(rule, mm.lambda(), err_opts), 2);
-          bound = format_sci(
-              mm.params().predicted_error(core::kPrecisionBitsSingle, steps), 2);
-        }
-        table.add_row({name, std::to_string(dim), std::to_string(steps),
-                       format_double(result.min_seconds, 4), error, bound});
+        mms.emplace_back(name, options);
       }
+    }
+    std::vector<bench::Variant> variants;
+    for (const auto& mm : mms) {
+      variants.push_back({mm.algorithm(), [&, mm] {
+                            mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
+                          }});
+    }
+    const bench::Rounds timed = bench::run_rounds(variants, kRounds);
+
+    for (std::size_t i = 0; i < mms.size(); ++i) {
+      const core::FastMatmul& mm = mms[i];
+      const int steps = mm.options().steps;
+      std::string error = "-", bound = "-";
+      if (!mm.is_classical()) {
+        core::LambdaSearchOptions err_opts;
+        err_opts.dim = 240;  // error is dimension-flat (Fig 1); keep it cheap
+        err_opts.steps = steps;
+        error = format_sci(core::measure_error(mm.rule(), mm.lambda(), err_opts), 2);
+        bound = format_sci(mm.params().predicted_error(core::kPrecisionBitsSingle, steps), 2);
+      }
+      table.add_row(bench::report_cells(
+          {mm.algorithm(), std::to_string(dim), std::to_string(steps)}, timed, i, 0,
+          {error, bound}));
     }
   }
 

@@ -19,6 +19,8 @@
 #include "support/rng.h"
 #include "support/table.h"
 
+constexpr int kRounds = 5;  // interleaved rounds per comparison
+
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
@@ -27,9 +29,11 @@ int main(int argc, char** argv) {
   const auto algos = bench::resolve_algorithms(
       args.get_list("algos", {"bini322", "fast442", "fast444"}));
 
-  std::printf("Ablation: parallel strategy comparison, dim=%ld, threads=%d\n\n",
-              static_cast<long>(dim), thread_count);
-  TablePrinter table({"algorithm", "strategy", "seconds", "vs-sequential"});
+  std::printf("Ablation: parallel strategy comparison, dim=%ld, threads=%d\n"
+              "%d interleaved rounds per algorithm, ratio = seconds / sequential "
+              "seconds\n\n",
+              static_cast<long>(dim), thread_count, kRounds);
+  TablePrinter table(bench::report_columns({"algorithm", "strategy"}));
 
   Rng rng(5);
   Matrix<float> a(dim, dim), b(dim, dim), c(dim, dim);
@@ -38,7 +42,7 @@ int main(int argc, char** argv) {
 
   for (const auto& name : algos) {
     if (name == "classical") continue;
-    double sequential_seconds = 0;
+    std::vector<bench::Variant> variants;
     for (const core::Strategy strategy :
          {core::Strategy::kSequential, core::Strategy::kDfs, core::Strategy::kBfs,
           core::Strategy::kHybrid}) {
@@ -46,19 +50,13 @@ int main(int argc, char** argv) {
       options.strategy = strategy;
       options.num_threads =
           strategy == core::Strategy::kSequential ? 1 : thread_count;
-      const core::FastMatmul mm(name, options);
-      bench::TimingOptions timing;
-      timing.reps = 5;
-      timing.min_total_seconds = 0.5;  // sub-50ms workloads jitter badly on VMs
-      const auto result = bench::time_workload(
-          [&] { mm.multiply(a.view().as_const(), b.view().as_const(), c.view()); },
-          timing);
-      if (strategy == core::Strategy::kSequential) {
-        sequential_seconds = result.min_seconds;
-      }
-      table.add_row({name, core::to_string(strategy),
-                     format_double(result.min_seconds, 4),
-                     format_double(sequential_seconds / result.min_seconds, 3)});
+      variants.push_back({core::to_string(strategy), [&, mm = core::FastMatmul(name, options)] {
+                            mm.multiply(a.view().as_const(), b.view().as_const(), c.view());
+                          }});
+    }
+    const bench::Rounds timed = bench::run_rounds(variants, kRounds);
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      table.add_row(bench::report_cells({name, timed.names[i]}, timed, i, 0));
     }
   }
 

@@ -15,15 +15,18 @@
 #include "support/rng.h"
 #include "support/table.h"
 
+constexpr int kRounds = 9;  // interleaved rounds per comparison
+
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
   const auto dim = args.get_int("dim", 1024);
   const auto arities = args.get_int_list("arities", {2, 3, 4, 6, 8});
 
-  std::printf("Ablation: write-once vs streaming additions, %ldx%ld blocks\n\n",
-              static_cast<long>(dim), static_cast<long>(dim));
-  TablePrinter table({"arity", "write-once GB/s", "streaming GB/s", "speedup"});
+  std::printf("Ablation: write-once vs streaming additions, %ldx%ld blocks\n"
+              "%d interleaved rounds per arity, ratio = seconds / write-once seconds\n\n",
+              static_cast<long>(dim), static_cast<long>(dim), kRounds);
+  TablePrinter table(bench::report_columns({"arity", "method"}, {"GB/s"}));
 
   Rng rng(1);
   std::vector<Matrix<float>> inputs;
@@ -40,15 +43,15 @@ int main(int argc, char** argv) {
     }
     const double bytes =
         static_cast<double>(arity + 1) * static_cast<double>(dim) * dim * sizeof(float);
-    const double wo_seconds =
-        bench::time_workload([&] { blas::linear_combination<float>(terms, y.view()); })
-            .min_seconds;
-    const double st_seconds = bench::time_workload([&] {
-                                blas::linear_combination_streaming<float>(terms, y.view());
-                              }).min_seconds;
-    table.add_row({std::to_string(arity), format_double(bytes / wo_seconds * 1e-9, 1),
-                   format_double(bytes / st_seconds * 1e-9, 1),
-                   format_double(st_seconds / wo_seconds, 2)});
+    const bench::Rounds timed = bench::run_rounds(
+        {{"write-once", [&] { blas::linear_combination<float>(terms, y.view()); }},
+         {"streaming",
+          [&] { blas::linear_combination_streaming<float>(terms, y.view()); }}},
+        kRounds);
+    for (std::size_t i = 0; i < timed.names.size(); ++i) {
+      table.add_row(bench::report_cells({std::to_string(arity), timed.names[i]}, timed, i, 0,
+                                        {format_double(bytes / timed.time(i).median * 1e-9, 1)}));
+    }
   }
 
   table.print();

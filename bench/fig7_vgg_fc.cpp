@@ -3,12 +3,18 @@
 // algorithm (our fast442 construction) against classical — the paper's
 // section 5 experiment.
 //
+// Each fast algorithm's head is timed in interleaved rounds against a
+// classical twin head held beside it (one round = one train_step of each);
+// a head's weights take 411 MB, so only the two heads of one pair are alive.
+//
 // Usage: fig7_vgg_fc [--batches=16,32,64,128] [--algos=classical,fast442]
 //                    [--threads=1] [--reps=2] [--csv=out.csv] [--full]
 
 #include <cstdio>
+#include <vector>
 
 #include "benchutil/algos.h"
+#include "benchutil/harness.h"
 #include "nn/vgg.h"
 #include "support/cli.h"
 #include "support/table.h"
@@ -20,37 +26,43 @@ int main(int argc, char** argv) {
       "batches", args.get_bool("full")
                      ? std::vector<std::int64_t>{64, 128, 256, 512, 1024}
                      : std::vector<std::int64_t>{64, 128, 256, 512});
-  const auto algos = bench::resolve_algorithms(
-      args.get_list("algos", {"classical", "fast442"}));
+  const auto algos = bench::with_classical_first(
+      bench::resolve_algorithms(args.get_list("algos", {"classical", "fast442"})));
   const int thread_count = static_cast<int>(args.get_int("threads", 1));
-  const int reps = static_cast<int>(args.get_int("reps", 2));
+  const int rounds = static_cast<int>(args.get_int("reps", 2));
 
-  std::printf("Fig 7: VGG-19 FC head (25088-4096-4096-1000), time per batch\n\n");
-  TablePrinter table({"algorithm", "batch", "sec/batch", "rel-time"});
+  std::printf("Fig 7: VGG-19 FC head (25088-4096-4096-1000), time per batch\n");
+  std::printf("%d interleaved rounds per algorithm, ratio = sec/batch / classical twin's\n\n",
+              rounds);
+  TablePrinter table(bench::report_columns({"algorithm", "batch"}));
 
-  // Build one head per algorithm (weights are large; construct lazily inside
-  // the loop and release before the next algorithm).
-  std::vector<std::vector<double>> seconds(algos.size());
-  for (std::size_t ai = 0; ai < algos.size(); ++ai) {
-    core::FastMatmulOptions options;
-    options.num_threads = thread_count;
-    options.strategy = thread_count > 1 ? core::Strategy::kHybrid
-                                        : core::Strategy::kSequential;
-    nn::VggFcConfig config;
-    auto head = nn::make_vgg_fc_head(config, nn::MatmulBackend(algos[ai], options),
-                                     nn::MatmulBackend("classical", options));
+  core::FastMatmulOptions options;
+  options.num_threads = thread_count;
+  options.strategy =
+      thread_count > 1 ? core::Strategy::kHybrid : core::Strategy::kSequential;
+  for (std::size_t i = 1; i < algos.size(); ++i) {
+    nn::Mlp classical = nn::make_vgg_fc_head(nn::VggFcConfig{},
+                                             nn::MatmulBackend("classical", options),
+                                             nn::MatmulBackend("classical", options));
+    nn::Mlp fast = nn::make_vgg_fc_head(nn::VggFcConfig{}, nn::MatmulBackend(algos[i], options),
+                                        nn::MatmulBackend("classical", options));
     for (const auto batch : batches) {
-      seconds[ai].push_back(nn::time_vgg_fc_step(head, batch, reps));
-      std::printf("finished %s batch=%ld\n", algos[ai].c_str(),
-                  static_cast<long>(batch));
-    }
-  }
-
-  for (std::size_t ai = 0; ai < algos.size(); ++ai) {
-    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-      const double rel = seconds[0][bi] > 0 ? seconds[ai][bi] / seconds[0][bi] : 1.0;
-      table.add_row({algos[ai], std::to_string(batches[bi]),
-                     format_double(seconds[ai][bi], 3), format_double(rel, 3)});
+      Rng rng(5);
+      Matrix<float> x(batch, fast.input_size());
+      fill_random_uniform<float>(x.view(), rng, 0.0f, 1.0f);
+      std::vector<int> labels(static_cast<std::size_t>(batch));
+      for (auto& label : labels) {
+        label = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(fast.output_size())));
+      }
+      const bench::Rounds timed = bench::run_rounds(
+          {{"classical", [&] { classical.train_step(x.view().as_const(), labels); }},
+           {algos[i], [&] { fast.train_step(x.view().as_const(), labels); }}},
+          rounds);
+      for (std::size_t v = 0; v < 2; ++v) {
+        table.add_row(bench::report_cells({timed.names[v], std::to_string(batch)}, timed, v, 0));
+      }
+      std::printf("finished %s batch=%ld\n", algos[i].c_str(), static_cast<long>(batch));
     }
   }
 

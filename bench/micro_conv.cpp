@@ -11,6 +11,12 @@
 //             patch matrix instead of re-running im2col. Both pipelines pack
 //             the filters inside every product.
 //
+// Each of --reps rounds of benchutil's interleaved protocol times both
+// pipelines back to back, alternating which runs first. A JSON row holds each
+// pipeline's median seconds and the median and quartiles of the per-round
+// seed/planned ratio (speedup_planned*); the "total" row sums each round over
+// the layers.
+//
 // Emits BENCH_conv.json so future PRs can track the perf trajectory.
 //
 // Usage: micro_conv [--batch=4] [--reps=3] [--scale=1] [--algo=classical]
@@ -36,32 +42,6 @@
 #include "support/rng.h"
 #include "support/table.h"
 
-namespace {
-
-/// Per-layer result kept for the aggregate "total" row.
-struct Row {
-  std::string layer;
-  long batch = 0;
-  long m = 0, k = 0, n = 0;  // im2col gemm geometry of the forward product
-  double seed_s = 0;
-  double planned_s = 0;
-};
-
-apa::obs::JsonRecord to_record(const Row& r) {
-  apa::obs::JsonRecord rec;
-  rec.set("layer", r.layer)
-      .set("batch", r.batch)
-      .set("m", r.m)
-      .set("k", r.k)
-      .set("n", r.n)
-      .set("seed_seconds", r.seed_s)
-      .set("planned_seconds", r.planned_s)
-      .set("speedup_planned", r.seed_s / r.planned_s);
-  return rec;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace apa;
   const CliArgs args(argc, argv);
@@ -72,8 +52,7 @@ int main(int argc, char** argv) {
   const long scale = static_cast<long>(args.get_int("scale", 1));
   const int threads = static_cast<int>(args.get_int("threads", 1));
   const std::string algo = args.get("algo", "classical");
-  bench::TimingOptions timing;
-  timing.reps = static_cast<int>(args.get_int("reps", 3));
+  const int reps = std::max(1, static_cast<int>(args.get_int("reps", 3)));
 
   std::vector<nn::NamedConvShape> all = nn::vgg19_conv_shapes();
   std::vector<std::string> defaults;
@@ -85,14 +64,36 @@ int main(int argc, char** argv) {
               " (spatial /%ld), backend %s, %d thread(s)\n",
               batch, scale, algo.c_str(), threads);
   std::printf("seed = im2col re-run + separate bias/ReLU/mask passes; planned = "
-              "ConvLayer's fused path\n\n");
-  TablePrinter table({"layer", "m", "k", "n", "seed-s", "planned-s", "x-planned"});
+              "ConvLayer's fused path\n%d interleaved rounds, ratio = seconds / seed "
+              "seconds\n\n",
+              reps);
+  TablePrinter table(bench::report_columns({"layer", "m", "k", "n", "pipeline"}));
+  bench::BenchJsonWriter writer("micro_conv");
 
   nn::BackendOptions options;
   options.matmul.num_threads = threads;
   const nn::MatmulBackend backend(algo, options);
 
-  std::vector<Row> rows;
+  // One table row per pipeline and one JSON row: median seconds per pipeline,
+  // quartiles of the per-round seed/planned ratio, rounds the planned path won.
+  const auto report = [&](const std::vector<std::string>& leading,
+                          const bench::Rounds& timed, obs::JsonRecord row) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      auto cells = leading;
+      cells.push_back(timed.names[i]);
+      table.add_row(bench::report_cells(std::move(cells), timed, i, 0));
+    }
+    const auto speedup = bench::paired_ratio(timed.seconds[0], timed.seconds[1]);
+    writer.add_row(row.set("seed_seconds", timed.time(0).median)
+                       .set("planned_seconds", timed.time(1).median)
+                       .set("speedup_planned", speedup.ratio.median)
+                       .set("speedup_planned_q1", speedup.ratio.q1)
+                       .set("speedup_planned_q3", speedup.ratio.q3)
+                       .set("planned_wins", timed.against(1, 0).wins));
+  };
+  // Per-round sums over the layers, for the whole-stack "total" row.
+  bench::Rounds total{{"seed", "planned"},
+                      {std::vector<double>(reps, 0.0), std::vector<double>(reps, 0.0)}};
   for (const auto& name : layers) {
     const auto it = std::find_if(all.begin(), all.end(), [&](const auto& named) {
       return name == named.name;
@@ -122,66 +123,43 @@ int main(int argc, char** argv) {
     Matrix<float> dbias(1, shape.out_channels);
     Matrix<float> dx_raw(batch, shape.in_size());
     MatrixView<float> dx_raw_view = dx_raw.view();
-    const auto seed_run = bench::time_workload(
-        [&] {
-          nn::conv_forward_reference(shape, x.view().as_const(),
-                                     layer.filters().view().as_const(),
-                                     layer.bias().view().as_const(), y.view(),
-                                     backend);
-          nn::ReluLayer::forward(y.view().as_const(), y.view());
-          nn::conv_backward_reference(shape, x.view().as_const(),
-                                      layer.filters().view().as_const(),
-                                      dy.view().as_const(), dfilters.view(),
-                                      dbias.view(), &dx_raw_view, backend);
-          nn::ReluLayer::backward(x.view().as_const(), dx_raw.view().as_const(),
-                                  dx.view());
-        },
-        timing);
-
+    const auto seed = [&] {
+      nn::conv_forward_reference(shape, x.view().as_const(),
+                                 layer.filters().view().as_const(),
+                                 layer.bias().view().as_const(), y.view(), backend);
+      nn::ReluLayer::forward(y.view().as_const(), y.view());
+      nn::conv_backward_reference(shape, x.view().as_const(),
+                                  layer.filters().view().as_const(), dy.view().as_const(),
+                                  dfilters.view(), dbias.view(), &dx_raw_view, backend);
+      nn::ReluLayer::backward(x.view().as_const(), dx_raw.view().as_const(), dx.view());
+    };
     // Planned pipeline: fused epilogues, patch reuse.
-    const auto planned = bench::time_workload(
-        [&] {
-          layer.forward(x.view().as_const(), y.view(), backend,
-                        /*fuse_relu=*/true);
-          layer.backward(x.view().as_const(), dy.view().as_const(), &dx_view,
-                         backend, x.view().as_const());
-        },
-        timing);
+    const auto planned = [&] {
+      layer.forward(x.view().as_const(), y.view(), backend, /*fuse_relu=*/true);
+      layer.backward(x.view().as_const(), dy.view().as_const(), &dx_view, backend,
+                     x.view().as_const());
+    };
+    const bench::Rounds timed = bench::run_rounds({{"seed", seed}, {"planned", planned}}, reps);
 
-    Row row;
-    row.layer = name;
-    row.batch = batch;
-    row.m = static_cast<long>(batch * shape.out_height() * shape.out_width());
-    row.k = static_cast<long>(shape.patch_size());
-    row.n = static_cast<long>(shape.out_channels);
-    row.seed_s = seed_run.min_seconds;
-    row.planned_s = planned.min_seconds;
-    rows.push_back(row);
-    table.add_row({name, std::to_string(row.m), std::to_string(row.k),
-                   std::to_string(row.n), format_double(row.seed_s, 4),
-                   format_double(row.planned_s, 4),
-                   format_double(row.seed_s / row.planned_s, 3)});
+    const long m = static_cast<long>(batch * shape.out_height() * shape.out_width());
+    const long k = static_cast<long>(shape.patch_size());
+    const long n = static_cast<long>(shape.out_channels);
+    report({name, std::to_string(m), std::to_string(k), std::to_string(n)}, timed,
+           obs::JsonRecord().set("layer", name).set("batch", batch).set("m", m).set("k", k)
+               .set("n", n).set("reps", reps));
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (int r = 0; r < reps; ++r) total.seconds[i][r] += timed.seconds[i][r];
+    }
   }
 
   // Aggregate row: one training step's conv-stack matmul work across all
   // swept layers — the headline planned-vs-seed number.
-  if (rows.size() > 1) {
-    Row total;
-    total.layer = "total";
-    total.batch = batch;
-    for (const Row& r : rows) {
-      total.seed_s += r.seed_s;
-      total.planned_s += r.planned_s;
-    }
-    table.add_row({total.layer, "-", "-", "-", format_double(total.seed_s, 4),
-                   format_double(total.planned_s, 4),
-                   format_double(total.seed_s / total.planned_s, 3)});
-    rows.push_back(total);
+  if (layers.size() > 1) {
+    report({"total", "-", "-", "-"}, total,
+           obs::JsonRecord().set("layer", "total").set("batch", batch).set("reps", reps));
   }
 
   table.print();
-  bench::BenchJsonWriter writer("micro_conv");
-  for (const Row& r : rows) writer.add_row(to_record(r));
   writer.write(args.get("json", "BENCH_conv.json"));
   return 0;
 }

@@ -13,9 +13,10 @@
 // APA backend the fused epilogue runs as one pass after the combine stage.
 //
 // The fusion saves a few percent at most, less than a shared host drifts over
-// a run, so the variants are paired: every rep times both back to back,
-// alternating which goes first, and the row reports each variant's median
-// seconds plus the median and quartiles of the per-rep plain/fused ratios.
+// a run, so each --reps round of benchutil's interleaved protocol times both
+// back to back, alternating which goes first. A JSON row holds each variant's
+// median seconds plus the median and quartiles of the per-round plain/fused
+// ratios (speedup_fused*).
 //
 // Emits BENCH_prepack.json so future PRs can track the perf trajectory.
 //
@@ -26,10 +27,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "benchutil/harness.h"
 #include "benchutil/json_writer.h"
 #include "blas/plan.h"
 #include "nn/backend.h"
@@ -38,25 +39,6 @@
 #include "support/rng.h"
 #include "support/table.h"
 #include "support/timer.h"
-
-namespace {
-
-/// Linear-interpolated quantile q in [0, 1] of `values`.
-double quantile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  return values[lo] + (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
-}
-
-double seconds_of(const std::function<void()>& fn) {
-  const apa::WallTimer timer;
-  fn();
-  return timer.seconds();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace apa;
@@ -71,9 +53,8 @@ int main(int argc, char** argv) {
 
   std::printf("micro_prepack: y = relu(x*W + b), W %ld x %ld\n", dim, dim);
   std::printf("plain = separate bias and ReLU passes; fused = one epilogue\n");
-  std::printf("%d paired reps: median seconds, per-rep plain/fused ratio\n\n", reps);
-  TablePrinter table({"backend", "batch", "plain-s", "fused-s", "x-fused", "x-q1",
-                      "x-q3", "fused-GFLOPS"});
+  std::printf("%d interleaved rounds, ratio = seconds / plain seconds\n\n", reps);
+  TablePrinter table(bench::report_columns({"backend", "batch", "variant"}, {"eff-GFLOPS"}));
 
   bench::BenchJsonWriter writer("micro_prepack");
   for (const auto& algo : algos) {
@@ -96,7 +77,7 @@ int main(int argc, char** argv) {
       blas::Epilogue<float> relu_only{blas::EpilogueKind::kRelu, nullptr, {}};
 
       // Old pipeline: matmul, then two full sweeps.
-      const std::function<void()> plain = [&] {
+      const auto plain = [&] {
         backend.matmul(x.view().as_const(), w.view().as_const(), y.view());
         blas::apply_epilogue<float>(bias_only, y.view());
         blas::apply_epilogue<float>(relu_only, y.view());
@@ -104,43 +85,31 @@ int main(int argc, char** argv) {
       // What DenseLayer::forward issues: the epilogue fused into the product.
       nn::MatmulFusion fused_fusion;
       fused_fusion.epilogue = epilogue;
-      const std::function<void()> fused = [&] {
+      const auto fused = [&] {
         backend.matmul_ex(x.view().as_const(), w.view().as_const(), y.view(), false,
                           false, fused_fusion);
       };
-
-      plain();  // warmup: pool buffers and first-touch pages
-      fused();
-      std::vector<double> plain_s, fused_s, ratio;
-      for (int rep = 0; rep < reps; ++rep) {
-        const bool plain_first = rep % 2 == 0;
-        const double first = seconds_of(plain_first ? plain : fused);
-        const double second = seconds_of(plain_first ? fused : plain);
-        plain_s.push_back(plain_first ? first : second);
-        fused_s.push_back(plain_first ? second : first);
-        ratio.push_back(plain_s.back() / fused_s.back());
-      }
-      const double plain_med = quantile(plain_s, 0.5);
-      const double fused_med = quantile(fused_s, 0.5);
-      const double ratio_med = quantile(ratio, 0.5);
-      const double ratio_q1 = quantile(ratio, 0.25);
-      const double ratio_q3 = quantile(ratio, 0.75);
+      // The warmup round fills pool buffers and first-touch pages.
+      const bench::Rounds timed = bench::run_rounds({{"plain", plain}, {"fused", fused}}, reps);
+      const bench::PairedRatio speedup =  // per-round plain/fused
+          bench::paired_ratio(timed.seconds[0], timed.seconds[1]);
 
       obs::JsonRecord row;
       row.set("backend", algo)
           .set("batch", batch)
           .set("dim", dim)
           .set("reps", reps)
-          .set("plain_seconds", plain_med)
-          .set("fused_seconds", fused_med)
-          .set("speedup_fused", ratio_med)
-          .set("speedup_fused_q1", ratio_q1)
-          .set("speedup_fused_q3", ratio_q3);
+          .set("plain_seconds", timed.time(0).median)
+          .set("fused_seconds", timed.time(1).median)
+          .set("speedup_fused", speedup.ratio.median)
+          .set("speedup_fused_q1", speedup.ratio.q1)
+          .set("speedup_fused_q3", speedup.ratio.q3);
       writer.add_row(std::move(row));
-      table.add_row({algo, std::to_string(batch), format_double(plain_med, 4),
-                     format_double(fused_med, 4), format_double(ratio_med, 3),
-                     format_double(ratio_q1, 3), format_double(ratio_q3, 3),
-                     format_double(effective_gflops(batch, dim, dim, fused_med), 1)});
+      for (std::size_t i = 0; i < 2; ++i) {
+        table.add_row(bench::report_cells(
+            {algo, std::to_string(batch), timed.names[i]}, timed, i, 0,
+            {format_double(effective_gflops(batch, dim, dim, timed.time(i).median), 1)}));
+      }
     }
   }
 

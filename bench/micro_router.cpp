@@ -1,15 +1,17 @@
 // Router arbitration quality: warmed TunedBackend versus every static backend
 // choice over an <M,K,N> x batch sweep (BENCH_router.json).
 //
-// For each shape the bench times each static config (classical plus each APA
-// rule, default policy), lets the router explore to a decision on live
-// traffic, then times the routed call. The headline metric is the fraction of
-// shapes where the warmed router matches or beats the *best single* static
-// config — the config a user without per-shape tuning would have to pick once
-// for the whole sweep (best total time). A second router instance is then
-// warm-started from the cache the first one wrote, demonstrating that the
-// explore cost is paid once: it must serve every shape with zero explore
-// samples.
+// For each shape the bench lets the router explore to a decision on live
+// traffic, then times the routed call and each static config (classical plus
+// each APA rule, default policy) in --reps interleaved rounds. The headline
+// metric is the fraction of shapes where the warmed router matches or beats
+// the *best single* static config — the config a user without per-shape
+// tuning would have to pick once for the whole sweep (best total of median
+// times): a shape matches when the median per-round router/best-single ratio
+// is within --tol, and its wins count the rounds the router was faster. A
+// second router instance is then warm-started from the cache the first one
+// wrote, demonstrating that the explore cost is paid once: it must serve
+// every shape with zero explore samples.
 //
 // Usage: micro_router [--dims=1024,2048] [--batches=128,384,1024,4096]
 //                     [--algos=bini322,strassen] [--reps=3] [--router-reps=3]
@@ -20,10 +22,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "benchutil/harness.h"
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   const auto dims = args.get_int_list("dims", {1024, 2048});
   const auto batches = args.get_int_list("batches", {128, 384, 1024, 4096});
   const auto algos = args.get_list("algos", {"bini322", "strassen"});
-  const int reps = static_cast<int>(args.get_int("reps", 3));
+  const int rounds = static_cast<int>(args.get_int("reps", 3));
   // "Matches" tolerance: covers run-to-run timing noise plus the per-call
   // Freivalds verification routed APA traffic pays and unguarded statics skip.
   const double tol = args.get_double("tol", 0.10);
@@ -68,17 +68,11 @@ int main(int argc, char** argv) {
   const tune::TunedBackend router(tuning);
 
   bench::BenchJsonWriter json("micro_router");
-  TablePrinter table({"m", "k", "n", "router-choice", "router", "best-static",
-                      "best-single", "ratio", "verdict"});
+  TablePrinter table(bench::report_columns({"m", "k", "n", "config"}, {"verdict"}));
 
   struct ShapeResult {
     index_t m, k, n;
-    std::map<std::string, double> static_seconds;
-    /// Per-pass (router seconds / static seconds) for each static config,
-    /// paired within one time window; the verdict uses the median so a
-    /// transient hitting a single window cannot flip it.
-    std::map<std::string, std::vector<double>> ratios;
-    double router_seconds = 0;
+    bench::Rounds timed;  ///< the static configs, then "router"
     std::string choice;
   };
   std::vector<ShapeResult> results;
@@ -98,11 +92,7 @@ int main(int argc, char** argv) {
       const auto bv = b.view().as_const();
 
       // Explore on live traffic until the router commits, then time the
-      // routed (exploit) path and every static config under one protocol:
-      // each config gets its own steady-state block (training traffic hits
-      // one backend repeatedly, pools and plans warm), and the whole ladder
-      // runs twice — forward then reversed — so slow clock/thermal drift
-      // hits every config equally instead of whichever runs last.
+      // routed (exploit) path and every static config in interleaved rounds.
       for (int call = 0; call < 256 && !router.is_decided(r.m, r.k, r.n);
            ++call) {
         router.matmul(av, bv, c.view());
@@ -113,40 +103,15 @@ int main(int argc, char** argv) {
                      static_cast<long long>(r.n));
         return EXIT_FAILURE;
       }
-      std::vector<std::pair<std::string, std::function<void()>>> configs;
+      std::vector<bench::Variant> configs;
       for (const auto& [name, backend] : statics) {
-        configs.emplace_back(name,
-                             [&] { backend.matmul(av, bv, c.view()); });
+        configs.push_back({name, [&] { backend.matmul(av, bv, c.view()); }});
       }
-      configs.emplace_back("router", [&] { router.matmul(av, bv, c.view()); });
-      // Four passes, alternating direction, splitting the rep budget: every
-      // config samples four separate time windows, so a transient slowdown
-      // (CPU steal, thermal dip) spanning one window cannot single out one
-      // config the way a single long block per config would.
-      const int passes = 4;
-      bench::TimingOptions block;
-      block.warmup = 1;
-      block.reps = std::max(1, reps / passes);
-      std::map<std::string, double> measured;
-      for (int pass = 0; pass < passes; ++pass) {
-        std::map<std::string, double> window;
-        for (std::size_t i = 0; i < configs.size(); ++i) {
-          const auto& [name, fn] =
-              configs[pass % 2 == 0 ? i : configs.size() - 1 - i];
-          window[name] = bench::time_workload(fn, block).min_seconds;
-        }
-        for (const auto& [name, s] : window) {
-          auto [it, fresh] = measured.emplace(name, s);
-          if (!fresh) it->second = std::min(it->second, s);
-          if (name != "router") {
-            r.ratios[name].push_back(window.at("router") / s);
-          }
-        }
+      configs.push_back({"router", [&] { router.matmul(av, bv, c.view()); }});
+      r.timed = bench::run_rounds(configs, rounds);
+      for (std::size_t i = 0; i + 1 < configs.size(); ++i) {
+        static_totals[configs[i].name] += r.timed.time(i).median;
       }
-      r.router_seconds = measured.at("router");
-      measured.erase("router");
-      r.static_seconds = std::move(measured);
-      for (const auto& [name, s] : r.static_seconds) static_totals[name] += s;
       const auto route = router.route_for(r.m, r.k, r.n);
       r.choice = route ? route->algorithm +
                              (route->steps > 1
@@ -165,38 +130,41 @@ int main(int argc, char** argv) {
 
   int matched = 0;
   for (const auto& r : results) {
-    double best_static = r.static_seconds.begin()->second;
-    std::string best_static_name = r.static_seconds.begin()->first;
-    for (const auto& [name, s] : r.static_seconds) {
-      if (s < best_static) {
-        best_static = s;
-        best_static_name = name;
-      }
+    const bench::Rounds& t = r.timed;
+    const std::size_t router_i = t.names.size() - 1;
+    const auto single_i = static_cast<std::size_t>(
+        std::find(t.names.begin(), t.names.end(), best_single) - t.names.begin());
+    std::size_t best_i = 0;
+    for (std::size_t i = 0; i < router_i; ++i) {
+      if (t.time(i).median < t.time(best_i).median) best_i = i;
     }
-    const double single = r.static_seconds.at(best_single);
-    std::vector<double> ratios = r.ratios.at(best_single);
-    std::sort(ratios.begin(), ratios.end());
-    const double median_ratio = ratios[ratios.size() / 2];
-    const bool ok = median_ratio <= 1.0 + tol;
+    const bench::PairedRatio vs_single = t.against(router_i, single_i);
+    const bool ok = vs_single.ratio.median <= 1.0 + tol;
     matched += ok ? 1 : 0;
 
     obs::JsonRecord row;
     row.set("m", static_cast<long long>(r.m))
         .set("k", static_cast<long long>(r.k))
         .set("n", static_cast<long long>(r.n));
-    for (const auto& [name, s] : r.static_seconds) row.set(name + "_seconds", s);
-    row.set("router_seconds", r.router_seconds)
-        .set("router_choice", r.choice)
-        .set("best_static", best_static_name)
-        .set("best_static_seconds", best_static)
-        .set("ratio_vs_best_single", median_ratio)
+    for (std::size_t i = 0; i < t.names.size(); ++i) {
+      row.set(t.names[i] + "_seconds", t.time(i).median);
+    }
+    row.set("router_choice", r.choice)
+        .set("best_static", t.names[best_i])
+        .set("best_static_seconds", t.time(best_i).median)
+        .set("ratio_vs_best_single", vs_single.ratio.median)
+        .set("ratio_vs_best_single_q1", vs_single.ratio.q1)
+        .set("ratio_vs_best_single_q3", vs_single.ratio.q3)
+        .set("wins_vs_best_single", vs_single.wins)
         .set("matches_best_single", ok);
     json.add_row(std::move(row));
 
-    table.add_row({std::to_string(r.m), std::to_string(r.k), std::to_string(r.n),
-                   r.choice, format_double(r.router_seconds, 4),
-                   best_static_name, format_double(single, 4),
-                   format_double(median_ratio, 3), ok ? "ok" : "SLOWER"});
+    for (std::size_t i = 0; i < t.names.size(); ++i) {
+      const std::string config = i == router_i ? "router:" + r.choice : t.names[i];
+      table.add_row(bench::report_cells(
+          {std::to_string(r.m), std::to_string(r.k), std::to_string(r.n), config}, t, i,
+          single_i, {i == router_i ? (ok ? "ok" : "SLOWER") : ""}));
+    }
   }
   table.print();
 
@@ -217,7 +185,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(warm_stats.explore_samples));
 
   json.meta()
-      .set("reps", reps)
+      .set("reps", rounds)
       .set("tolerance", tol)
       .set("best_single_static", best_single)
       .set("matched_shapes", matched)

@@ -37,4 +37,10 @@ std::vector<std::string> resolve_algorithms(const std::vector<std::string>& requ
   return out;
 }
 
+std::vector<std::string> with_classical_first(std::vector<std::string> algos) {
+  std::erase(algos, "classical");
+  algos.insert(algos.begin(), "classical");
+  return algos;
+}
+
 }  // namespace apa::bench

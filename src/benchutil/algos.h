@@ -17,4 +17,8 @@ namespace apa::bench {
 [[nodiscard]] std::vector<std::string> resolve_algorithms(
     const std::vector<std::string>& requested);
 
+/// `algos` with "classical" moved, or added, to the front: the baseline the
+/// timing benches measure every fast rule against.
+[[nodiscard]] std::vector<std::string> with_classical_first(std::vector<std::string> algos);
+
 }  // namespace apa::bench

@@ -1,9 +1,6 @@
 #include "nn/vgg.h"
 
-#include <algorithm>
 #include <vector>
-
-#include "support/timer.h"
 
 namespace apa::nn {
 
@@ -16,27 +13,6 @@ Mlp make_vgg_fc_head(const VggFcConfig& config, MatmulBackend fast,
   mlp_config.seed = config.seed;
   mlp_config.fast_layer_mask = {true, true, true};
   return Mlp(std::move(mlp_config), std::move(fast), std::move(classical));
-}
-
-double time_vgg_fc_step(Mlp& head, index_t batch, int reps, std::uint64_t seed) {
-  Rng rng(seed);
-  Matrix<float> x(batch, head.input_size());
-  fill_random_uniform<float>(x.view(), rng, 0.0f, 1.0f);
-  std::vector<int> labels(static_cast<std::size_t>(batch));
-  for (auto& label : labels) {
-    label = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(head.output_size())));
-  }
-
-  head.train_step(x.view().as_const(), labels);  // warmup
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    head.train_step(x.view().as_const(), labels);
-    times.push_back(timer.seconds());
-  }
-  std::sort(times.begin(), times.end());
-  return times.front();  // min: interference on shared hosts only adds time
 }
 
 std::vector<NamedConvShape> vgg19_conv_shapes() {

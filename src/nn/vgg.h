@@ -26,11 +26,6 @@ struct VggFcConfig {
 [[nodiscard]] Mlp make_vgg_fc_head(const VggFcConfig& config, MatmulBackend fast,
                                    MatmulBackend classical);
 
-/// Seconds per training step (forward + backward + update) on a random batch,
-/// fastest of `reps` timed repetitions after one warmup.
-[[nodiscard]] double time_vgg_fc_step(Mlp& head, index_t batch, int reps = 3,
-                                      std::uint64_t seed = 5);
-
 /// One named VGG-19 conv layer shape, for benchmarks that sweep the conv
 /// stack's distinct gemm geometries.
 struct NamedConvShape {

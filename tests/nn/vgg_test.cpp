@@ -39,14 +39,6 @@ TEST(VggFc, DefaultDimensionsAreVgg19) {
   EXPECT_EQ(config.num_classes, 1000);
 }
 
-TEST(VggFc, TimedStepRunsAndIsPositive) {
-  auto head = make_vgg_fc_head(tiny_config(), MatmulBackend("fast442"),
-                               MatmulBackend("classical"));
-  const double seconds = time_vgg_fc_step(head, /*batch=*/16, /*reps=*/3);
-  EXPECT_GT(seconds, 0.0);
-  EXPECT_LT(seconds, 5.0);
-}
-
 TEST(VggFc, TrainingStepReducesLossOnFixedBatch) {
   auto head = make_vgg_fc_head(tiny_config(), MatmulBackend("classical"),
                                MatmulBackend("classical"));

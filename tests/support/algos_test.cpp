@@ -39,5 +39,13 @@ TEST(ResolveAlgorithms, UnknownNameThrows) {
   EXPECT_THROW((void)resolve_algorithms({"classical", "nope"}), std::logic_error);
 }
 
+TEST(WithClassicalFirst, MovesOrAddsTheBaselineToTheFront) {
+  using List = std::vector<std::string>;
+  EXPECT_EQ(with_classical_first({"strassen", "classical", "bini322"}),
+            (List{"classical", "strassen", "bini322"}));
+  EXPECT_EQ(with_classical_first({"bini322"}), (List{"classical", "bini322"}));
+  EXPECT_EQ(with_classical_first({"classical"}), List{"classical"});
+}
+
 }  // namespace
 }  // namespace apa::bench

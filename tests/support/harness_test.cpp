@@ -2,63 +2,85 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <string>
+#include <vector>
 
 namespace apa::bench {
 namespace {
 
-TEST(TimeWorkload, RunsWarmupPlusReps) {
-  std::atomic<int> calls{0};
-  TimingOptions opts;
-  opts.warmup = 2;
-  opts.reps = 3;
-  opts.min_total_seconds = 0;  // disable adaptive extension
-  const auto result = time_workload([&] { ++calls; }, opts);
-  EXPECT_EQ(calls.load(), 5);
-  EXPECT_EQ(result.reps, 3);
-  EXPECT_LE(result.min_seconds, result.median_seconds);
-  EXPECT_LE(result.median_seconds, result.max_seconds);
+TEST(RunRounds, WarmupForwardThenRoundsAlternateForwardAndReversed) {
+  std::vector<int> calls;
+  std::vector<Variant> variants;
+  for (int i = 0; i < 3; ++i) {
+    variants.push_back({"v" + std::to_string(i), [&calls, i] { calls.push_back(i); }});
+  }
+  const Rounds rounds = run_rounds(variants, /*rounds=*/3, /*warmup=*/1);
+  EXPECT_EQ(calls, (std::vector<int>{0, 1, 2,     // warmup
+                                     0, 1, 2,     // round 0
+                                     2, 1, 0,     // round 1
+                                     0, 1, 2}));  // round 2
+  EXPECT_EQ(rounds.names, (std::vector<std::string>{"v0", "v1", "v2"}));
+  ASSERT_EQ(rounds.seconds.size(), 3u);
+  for (const auto& series : rounds.seconds) EXPECT_EQ(series.size(), 3u);
 }
 
-TEST(TimeWorkload, AdaptiveRepsExtendForFastWorkloads) {
-  std::atomic<int> calls{0};
-  TimingOptions opts;
-  opts.warmup = 0;
-  opts.reps = 1;
-  opts.max_reps = 10;
-  opts.min_total_seconds = 0.02;  // a no-op workload cannot reach this in 1 rep
-  const auto result = time_workload([&] { ++calls; }, opts);
-  EXPECT_EQ(result.reps, 10);  // hit the cap
+TEST(RunRounds, WithTwoVariantsTheFirstSideAlternates) {
+  std::vector<char> calls;
+  const Rounds rounds = run_rounds({{"a", [&] { calls.push_back('a'); }},
+                                    {"b", [&] { calls.push_back('b'); }}},
+                                   /*rounds=*/4, /*warmup=*/0);
+  EXPECT_EQ(std::string(calls.begin(), calls.end()), "abbaabba");
 }
 
-TEST(TimeWorkload, MeasuresRealTime) {
-  TimingOptions opts;
-  opts.warmup = 0;
-  opts.reps = 2;
-  opts.min_total_seconds = 0;
-  const auto result = time_workload(
-      [] { std::this_thread::sleep_for(std::chrono::milliseconds(10)); }, opts);
-  EXPECT_GE(result.min_seconds, 0.009);
-  EXPECT_LT(result.min_seconds, 0.5);
+TEST(Quartiles, LinearInterpolationOnFixedSamples) {
+  // Sorted {1, 2, 3, 4}: positions 0.75, 1.5, 2.25.
+  const Quartiles even = quartiles({4, 1, 3, 2});
+  EXPECT_DOUBLE_EQ(even.q1, 1.75);
+  EXPECT_DOUBLE_EQ(even.median, 2.5);
+  EXPECT_DOUBLE_EQ(even.q3, 3.25);
+  const Quartiles odd = quartiles({10, 50, 20, 40, 30});
+  EXPECT_DOUBLE_EQ(odd.q1, 20);
+  EXPECT_DOUBLE_EQ(odd.median, 30);
+  EXPECT_DOUBLE_EQ(odd.q3, 40);
+  const Quartiles one = quartiles({7});
+  EXPECT_DOUBLE_EQ(one.q1, 7);
+  EXPECT_DOUBLE_EQ(one.q3, 7);
 }
 
-TEST(GeometricSweep, PowersOfTwo) {
-  const auto sweep = geometric_sweep(256, 2048);
-  ASSERT_EQ(sweep.size(), 4u);
-  EXPECT_EQ(sweep[0], 256);
-  EXPECT_EQ(sweep[3], 2048);
+TEST(Rounds, RatiosArePerRoundAgainstTheBaseline) {
+  Rounds rounds;
+  rounds.names = {"base", "fast"};
+  // A slow round hits both variants alike: per-round ratios stay 0.5, while
+  // the ratio of the medians (2.5 / 4) would read 0.625.
+  rounds.seconds = {{2, 4, 8}, {1, 2, 4}};
+  const PairedRatio r = rounds.against(1, 0);
+  EXPECT_DOUBLE_EQ(r.ratio.q1, 0.5);
+  EXPECT_DOUBLE_EQ(r.ratio.median, 0.5);
+  EXPECT_DOUBLE_EQ(r.ratio.q3, 0.5);
+  EXPECT_EQ(r.wins, 3);
+  EXPECT_DOUBLE_EQ(rounds.time(0).median, 4);
+  EXPECT_EQ(rounds.against(0, 1).wins, 0);
 }
 
-TEST(GeometricSweep, NonIntegerRatio) {
-  const auto sweep = geometric_sweep(100, 400, 1.5);
-  ASSERT_GE(sweep.size(), 3u);
-  EXPECT_EQ(sweep[0], 100);
-  EXPECT_EQ(sweep[1], 150);
+TEST(PairedRatio, TiesCountAsNeitherWinNorLoss) {
+  const PairedRatio r = paired_ratio({1, 2, 3, 5}, {2, 2, 3, 4});
+  EXPECT_EQ(r.wins, 1);  // round 0 only; rounds 1 and 2 tie, round 3 loses
+  EXPECT_EQ(paired_ratio({2, 3, 4}, {1, 3, 5}).wins, 1);
+  EXPECT_DOUBLE_EQ(r.ratio.median, 1.0);
 }
 
-TEST(GeometricSweep, EmptyWhenStartExceedsLimit) {
-  EXPECT_TRUE(geometric_sweep(100, 50).empty());
+TEST(Report, BaselineRowHasNoRatioCells) {
+  Rounds rounds;
+  rounds.names = {"base", "fast"};
+  rounds.seconds = {{2, 2}, {1, 3}};
+  const auto columns = report_columns({"name"});
+  const auto base = report_cells({"base"}, rounds, 0, 0);
+  const auto fast = report_cells({"fast"}, rounds, 1, 0);
+  ASSERT_EQ(base.size(), columns.size());
+  ASSERT_EQ(fast.size(), columns.size());
+  EXPECT_EQ(base.back(), "-");
+  EXPECT_EQ(fast.back(), "1/2");
+  EXPECT_EQ(fast[1], "2.000e+00");  // median seconds of {1, 3}
 }
 
 }  // namespace
