@@ -3,10 +3,10 @@
 #include <omp.h>
 
 namespace apa::blas {
-namespace {
+namespace detail {
 
-/// Row-range worker. The inner loops are written so the compiler can vectorize
-/// each fixed-arity case; the hot arities for practical rules are 1-4 addends.
+/// The inner loops are written so the compiler can vectorize each fixed-arity
+/// case; the hot arities for practical rules are 1-4 addends.
 template <class T>
 void combine_rows(std::span<const Scaled<T>> terms, MatrixView<T> y, index_t row0,
                   index_t row1) {
@@ -83,7 +83,14 @@ void combine_rows(std::span<const Scaled<T>> terms, MatrixView<T> y, index_t row
   }
 }
 
-}  // namespace
+template void combine_rows<float>(std::span<const Scaled<float>>, MatrixView<float>,
+                                  index_t, index_t);
+template void combine_rows<double>(std::span<const Scaled<double>>, MatrixView<double>,
+                                   index_t, index_t);
+
+}  // namespace detail
+
+using detail::combine_rows;
 
 template <class T>
 void linear_combination(std::span<const Scaled<T>> terms, MatrixView<T> y,

@@ -48,6 +48,22 @@ template <class T>
 void linear_combination_transposed(std::span<const Scaled<T>> terms, MatrixView<T> y,
                                    int num_threads = 1);
 
+namespace detail {
+
+/// Rows [row0, row1) of Y = sum of terms: the row kernel of every combine
+/// above. Exposed so the gemm packs can combine operands in place with the
+/// same rounding as a materialized combination.
+template <class T>
+void combine_rows(std::span<const Scaled<T>> terms, MatrixView<T> y, index_t row0,
+                  index_t row1);
+
+extern template void combine_rows<float>(std::span<const Scaled<float>>,
+                                         MatrixView<float>, index_t, index_t);
+extern template void combine_rows<double>(std::span<const Scaled<double>>,
+                                          MatrixView<double>, index_t, index_t);
+
+}  // namespace detail
+
 /// Convenience overload.
 template <class T>
 void linear_combination(const std::vector<Scaled<T>>& terms, MatrixView<T> y,

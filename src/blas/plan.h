@@ -25,7 +25,19 @@
 // threads at micropanel granularity), and the macro-kernel loop over NR-column
 // strips is parallelized. This replaces the old column-stripe scheme, which
 // packed A redundantly in every thread.
+//
+// An operand may also be a sum of scaled stored blocks, Σ cᵢ·op(Xᵢ) (the A
+// and B combinations of an APA rule): the pack then builds each packed block
+// from the source blocks a stored row at a time (a micropanel's rows at a
+// time where stored rows run across the panels), combining the terms into an
+// L1 buffer with linear_combination's row kernel and scattering it into
+// micropanel layout. The combination is never materialized, and every packed
+// element rounds exactly as the materialized combination's. A threaded gemm
+// splits such a pack across its team by those rows, not by panels.
 
+#include <span>
+
+#include "blas/combine.h"
 #include "blas/gemm.h"
 #include "support/matrix.h"
 #include "support/pool.h"
@@ -81,6 +93,12 @@ class PackedPanel {
   /// Packs op(B) (logical k x n).
   [[nodiscard]] static PackedPanel pack_b(bool trans, MatrixView<const T> stored,
                                           int num_threads = 1);
+  /// Packs op(B) = Σ cᵢ·op(Xᵢ) for terms of one stored shape, each
+  /// transposed when `trans` is set; a single unit term packs as its plain
+  /// view does. A multi-term pack is combined in place (see above) and split
+  /// across the team by stored rows, block after block.
+  [[nodiscard]] static PackedPanel pack_b(bool trans, std::span<const Scaled<T>> terms,
+                                          int num_threads = 1);
 
   [[nodiscard]] bool empty() const { return storage_.empty(); }
   [[nodiscard]] Side side() const { return side_; }
@@ -103,18 +121,32 @@ class PackedPanel {
   PooledBuffer<T> storage_;
 };
 
-/// c = alpha * op(A) * op(B) + beta * c, then the epilogue. `a_packed` /
-/// `b_packed` may be null (the operand is packed on the fly from its view) or
-/// must match the corresponding view's op-shape exactly. A view whose panel is
-/// given supplies only its shape and is never read, so it may carry null data
-/// (the APA executor drops a combined operand once it is packed).
-/// num_threads == 1 performs no OpenMP calls (safe under an enclosing parallel
-/// region).
+/// c = alpha * op(A) * op(B) + beta * c, then the epilogue, where op(A) =
+/// Σ cᵢ·op(Aᵢ) over the terms `a` (at least one; every term has the same
+/// stored shape and `ta` applies to each) and op(B) likewise. A single unit
+/// term is a plain operand; more terms, or other coefficients, are combined
+/// inside the pack. `a_packed` / `b_packed` may be null (the operand is packed
+/// on the fly from its terms) or must match the operand's op-shape exactly. A
+/// side whose panel is given supplies only its shape and is never read, so its
+/// view may carry null data (the APA executor drops a combined operand once it
+/// is packed). num_threads == 1 performs no OpenMP calls (safe under an
+/// enclosing parallel region).
+template <class T>
+void gemm_planned(Trans ta, std::span<const Scaled<T>> a, const PackedPanel<T>* a_packed,
+                  Trans tb, std::span<const Scaled<T>> b, const PackedPanel<T>* b_packed,
+                  MatrixView<T> c, T alpha = T{1}, T beta = T{0},
+                  const Epilogue<T>& epilogue = {}, int num_threads = 1);
+
+/// Plain operands: one unit term each.
 template <class T>
 void gemm_planned(Trans ta, MatrixView<const T> a, const PackedPanel<T>* a_packed,
                   Trans tb, MatrixView<const T> b, const PackedPanel<T>* b_packed,
                   MatrixView<T> c, T alpha = T{1}, T beta = T{0},
-                  const Epilogue<T>& epilogue = {}, int num_threads = 1);
+                  const Epilogue<T>& epilogue = {}, int num_threads = 1) {
+  const Scaled<T> a_term{T{1}, a}, b_term{T{1}, b};
+  gemm_planned<T>(ta, std::span(&a_term, 1), a_packed, tb, std::span(&b_term, 1),
+                  b_packed, c, alpha, beta, epilogue, num_threads);
+}
 
 /// Convenience: no prepacked operands, epilogue fused into the blocked gemm.
 template <class T>
@@ -130,14 +162,14 @@ extern template void apply_epilogue<double>(const Epilogue<double>&,
                                             MatrixView<double>);
 extern template class PackedPanel<float>;
 extern template class PackedPanel<double>;
-extern template void gemm_planned<float>(Trans, MatrixView<const float>,
+extern template void gemm_planned<float>(Trans, std::span<const Scaled<float>>,
                                          const PackedPanel<float>*, Trans,
-                                         MatrixView<const float>,
+                                         std::span<const Scaled<float>>,
                                          const PackedPanel<float>*, MatrixView<float>,
                                          float, float, const Epilogue<float>&, int);
-extern template void gemm_planned<double>(Trans, MatrixView<const double>,
+extern template void gemm_planned<double>(Trans, std::span<const Scaled<double>>,
                                           const PackedPanel<double>*, Trans,
-                                          MatrixView<const double>,
+                                          std::span<const Scaled<double>>,
                                           const PackedPanel<double>*,
                                           MatrixView<double>, double, double,
                                           const Epilogue<double>&, int);

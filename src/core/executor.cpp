@@ -71,7 +71,8 @@ bool is_bare(const std::vector<std::pair<index_t, double>>& terms) {
 /// combination comes from the same code in the same order as with one band. The
 /// level bands when r*bk*bn (the packed B panels every band reads) plus
 /// r*h*bn (the band stack) is less than r*bm*bn (the whole stack); otherwise
-/// it runs one band of bm rows.
+/// it runs one band of bm rows. A short bottom level (bm <= 2*kMc) hands its
+/// gemms each combination as terms instead of materializing it.
 template <class T>
 class LevelRunner {
  public:
@@ -88,6 +89,7 @@ class LevelRunner {
         bk_(a.cols() / rule_.k),
         bn_(b.cols() / rule_.n),
         band_rows_(levels.size() == 1 ? band_rows(bm_, bk_) : bm_),
+        short_(levels.size() == 1 && bm_ <= 2 * blas::detail::BlockShape<T>::kMc),
         products_(rule_.rank * band_rows_, bn_) {
     if (levels_.size() == 1) prepack_panels();
   }
@@ -103,6 +105,13 @@ class LevelRunner {
 
  private:
   using Terms = std::vector<std::pair<index_t, double>>;
+  using Scaled = std::vector<blas::Scaled<T>>;
+
+  /// A bottom-level gemm operand: Σ cᵢ·op(Xᵢ) over terms sharing `trans`.
+  struct GemmOperand {
+    Scaled terms;
+    blas::Trans trans = blas::Trans::kNo;
+  };
 
   /// Rows per band: kMc when banding shrinks the workspace, else all bm rows.
   static index_t band_rows(index_t bm, index_t bk) {
@@ -184,9 +193,9 @@ class LevelRunner {
   /// operand on each read. Pack once every B panel the level reads more than
   /// once: an input block aliased as a bare term by several products, and,
   /// when the level runs several bands, every product's B (each band reads
-  /// it). A combined B_l is formed once, packed, and its temporary dropped.
-  /// The packs are read-only during the (possibly concurrent) products.
-  /// Also records the A blocks to share within each band.
+  /// it). A combined B_l is packed straight from its terms. The packs are
+  /// read-only during the (possibly concurrent) products. Also records the A
+  /// blocks to share within each band.
   void prepack_panels() {
     for (const auto& [entry, n] : bare_uses(rule_.u_terms)) {
       if (n > 1) shared_a_.push_back(entry);
@@ -207,14 +216,10 @@ class LevelRunner {
     for (index_t l = 0; l < rule_.rank; ++l) {
       const Terms& vt = rule_.v_terms[static_cast<std::size_t>(l)];
       if (is_bare(vt)) continue;
-      PooledMatrix<T> temp;
-      const Operand<T> op = [&] {
-        APA_TRACE_SCOPE_ID("core.combine_b", l);
-        return form_operand(vt, [this](index_t e) { return b_block(e); }, temp, team());
-      }();
+      APA_COUNTER_INC("core.operand.packed");
       APA_TRACE_SCOPE("core.prepack");
-      formed_b_[static_cast<std::size_t>(l)] =
-          blas::PackedPanel<T>::pack_b(false, op.view, team());
+      formed_b_[static_cast<std::size_t>(l)] = blas::PackedPanel<T>::pack_b(
+          b_.trans, scaled_blocks(vt, [this](index_t e) { return b_block(e); }), team());
     }
   }
 
@@ -238,16 +243,28 @@ class LevelRunner {
     return it == packs.end() ? nullptr : &it->second;
   }
 
+  /// The blocks `block_of` returns for a combination's entries, scaled by its
+  /// coefficients.
+  template <class BlockOf>
+  static Scaled scaled_blocks(const Terms& terms, BlockOf block_of) {
+    Scaled out;
+    out.reserve(terms.size());
+    for (const auto& [entry, coeff] : terms) {
+      out.push_back({static_cast<T>(coeff), block_of(entry).view});
+    }
+    return out;
+  }
+
   /// Forms one linear-combination operand from the blocks `block_of` returns:
   /// aliases the block (keeping its transpose flag) for a bare single-unit
   /// term, otherwise materializes a plain row-major temporary via the
   /// (transposed) write-once combine.
   template <class BlockOf>
-  Operand<T> form_operand(const Terms& terms_in, BlockOf block_of, PooledMatrix<T>& temp,
+  Operand<T> form_operand(const Terms& terms, BlockOf block_of, PooledMatrix<T>& temp,
                           int threads) const {
-    if (is_bare(terms_in)) {
+    if (is_bare(terms)) {
       APA_COUNTER_INC("core.operand.aliased");
-      return block_of(terms_in[0].first);
+      return block_of(terms[0].first);
     }
     APA_COUNTER_INC("core.operand.materialized");
     const Operand<T> shape = block_of(0);  // every block: same shape, same flag
@@ -256,57 +273,80 @@ class LevelRunner {
     // written once) — with the combine_* phase times this calibrates the cost
     // model's addition bandwidth from real traffic (src/tune/calibrate.h).
     APA_COUNTER_ADD("core.combine.bytes",
-                    (static_cast<std::uint64_t>(terms_in.size()) + 1) *
+                    (static_cast<std::uint64_t>(terms.size()) + 1) *
                         static_cast<std::uint64_t>(rows) *
                         static_cast<std::uint64_t>(cols) * sizeof(T));
-    std::vector<blas::Scaled<T>> terms;
-    terms.reserve(terms_in.size());
-    for (const auto& [entry, coeff] : terms_in) {
-      terms.push_back({static_cast<T>(coeff), block_of(entry).view});
-    }
     temp = PooledMatrix<T>(rows, cols);
     if (shape.trans) {
-      blas::linear_combination_transposed<T>(terms, temp.view(), threads);
+      blas::linear_combination_transposed<T>(scaled_blocks(terms, block_of), temp.view(),
+                                             threads);
     } else {
-      blas::linear_combination<T>(terms, temp.view(), threads);
+      blas::linear_combination<T>(scaled_blocks(terms, block_of), temp.view(), threads);
     }
     return Operand<T>{temp.view().as_const(), false};
   }
 
+  /// At a short level a combination stays a list of scaled blocks, which its
+  /// gemm combines inside the packs: no temporary, no combine pass.
+  [[nodiscard]] bool packs_in_gemm(const Terms& terms) const {
+    return short_ && !is_bare(terms);
+  }
+
+  template <class BlockOf>
+  static GemmOperand packed_operand(const Terms& terms, BlockOf block_of) {
+    APA_COUNTER_INC("core.operand.packed");
+    return {scaled_blocks(terms, block_of), block_of(0).trans_flag()};
+  }
+
+  static GemmOperand plain(const Operand<T>& op) {
+    return {{{T{1}, op.view}}, op.trans_flag()};
+  }
+
   /// Forms the band's A_l and (unless prepacked) B_l, skipping the copy when a
-  /// combination is a single unit-coefficient term, and multiplies into M_l.
+  /// combination is a single unit-coefficient term or, at a short level, any
+  /// combination (its gemm packs the terms), and multiplies into M_l.
   void compute_product(index_t l, int threads) {
     const auto li = static_cast<std::size_t>(l);
     const Terms& ut = rule_.u_terms[li];
     const Terms& vt = rule_.v_terms[li];
+    const auto a_of = [this](index_t e) { return a_block(e); };
+    const auto b_of = [this](index_t e) { return b_block(e); };
 
     PooledMatrix<T> a_temp, b_temp;
-    const Operand<T> a_op = [&] {
-      APA_TRACE_SCOPE_ID("core.combine_a", l);
-      return form_operand(ut, [this](index_t e) { return a_block(e); }, a_temp, threads);
-    }();
-    // A B_l combined and packed up front has no view left: its gemm reads only
-    // the pack, so the operand carries just the shape.
-    const bool formed = li < formed_b_.size() && !formed_b_[li].empty();
-    const Operand<T> b_op = [&] {
-      if (formed) return Operand<T>{MatrixView<const T>(nullptr, bk_, bn_, bn_), false};
-      APA_TRACE_SCOPE_ID("core.combine_b", l);
-      return form_operand(vt, [this](index_t e) { return b_block(e); }, b_temp, threads);
-    }();
-
-    // Sub-multiplication: descend the chain while levels remain, else gemm
-    // (reusing the prepacked panels of shared or banded operands).
-    APA_TRACE_SCOPE_ID("core.submul", l);
     if (levels_.size() > 1) {
+      const Operand<T> a_op = [&] {
+        APA_TRACE_SCOPE_ID("core.combine_a", l);
+        return form_operand(ut, a_of, a_temp, threads);
+      }();
+      const Operand<T> b_op = [&] {
+        APA_TRACE_SCOPE_ID("core.combine_b", l);
+        return form_operand(vt, b_of, b_temp, threads);
+      }();
+      APA_TRACE_SCOPE_ID("core.submul", l);
       run_chain<T>(levels_.subspan(1), a_op, b_op, product_view(l),
                    threads > 1 ? strategy_ : Strategy::kSequential, threads);
-    } else {
-      const blas::PackedPanel<T>* b_pack =
-          formed ? &formed_b_[li] : find_pack(b_packs_, vt);
-      blas::gemm_planned<T>(a_op.trans_flag(), a_op.view, find_pack(a_packs_, ut),
-                            b_op.trans_flag(), b_op.view, b_pack, product_view(l), T{1},
-                            T{0}, {}, threads);
+      return;
     }
+
+    // Bottom level: one gemm, reusing the prepacked panels of shared or
+    // banded operands. A B_l combined and packed up front has no view left:
+    // its gemm reads only the pack, so the operand carries just the shape.
+    const GemmOperand a_op = [&] {
+      if (packs_in_gemm(ut)) return packed_operand(ut, a_of);
+      APA_TRACE_SCOPE_ID("core.combine_a", l);
+      return plain(form_operand(ut, a_of, a_temp, threads));
+    }();
+    const bool formed = li < formed_b_.size() && !formed_b_[li].empty();
+    const GemmOperand b_op = [&] {
+      if (formed) return plain({MatrixView<const T>(nullptr, bk_, bn_, bn_), false});
+      if (packs_in_gemm(vt)) return packed_operand(vt, b_of);
+      APA_TRACE_SCOPE_ID("core.combine_b", l);
+      return plain(form_operand(vt, b_of, b_temp, threads));
+    }();
+    const blas::PackedPanel<T>* b_pack = formed ? &formed_b_[li] : find_pack(b_packs_, vt);
+    APA_TRACE_SCOPE_ID("core.submul", l);
+    blas::gemm_planned<T>(a_op.trans, a_op.terms, find_pack(a_packs_, ut), b_op.trans,
+                          b_op.terms, b_pack, product_view(l), T{1}, T{0}, {}, threads);
   }
 
   /// The band's rows of the C blocks = W-combinations of the products,
@@ -341,6 +381,7 @@ class LevelRunner {
   int threads_;
   index_t bm_, bk_, bn_;
   index_t band_rows_;          // rows per band (bm_ when the level runs one band)
+  bool short_;                 // bottom level with bm <= 2*kMc: gemms pack combinations
   index_t band_row0_ = 0;      // current band: first row within each block row
   index_t band_ = 0;           // current band: row count
   PooledMatrix<T> products_;   // rank stacked (band_rows_ x bn) blocks

@@ -26,6 +26,15 @@
 // r x h x bn stack under the same strategy, and combines them into C's rows.
 // It bands when r*bk*bn + r*h*bn < r*bm*bn, i.e. bk + h < bm; the result is
 // bit-identical either way, since no element's arithmetic changes.
+//
+// Combinations: a bare single-unit term aliases its input block. At a short
+// bottom level (bm <= 2*kMc, so each packed B block serves at most two A
+// blocks) every other A and B combination is handed to the gemm as its list
+// of (coefficient, block) terms, and the gemm combines them inside its packs
+// (blas/plan.h) instead of reading a materialized temporary back; a banded
+// level packs its combined B panels from terms the same way. Taller levels
+// still materialize A and B combinations with the write-once combine. Either
+// way every element rounds identically.
 
 #include <span>
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
+#include "blas/combine.h"
 #include "blas/microkernel.h"
+#include "blas/packing.h"
 #include "support/check.h"
 #include "support/matrix.h"
 #include "support/rng.h"
@@ -196,6 +199,112 @@ TEST(PlannedGemm, MismatchedPanelIsRejected) {
                                    Trans::kNo, b.view().as_const(), nullptr,
                                    c_small.view()),
                ApaError);
+}
+
+/// Stored matrices and coefficients of one multi-term operand; `logical()`
+/// materializes Σ cᵢ·op(Xᵢ) as the executor used to, with
+/// linear_combination (or its transposed form for transposed terms).
+template <class T>
+struct TermOperand {
+  std::vector<Matrix<T>> stored;
+  std::vector<Scaled<T>> terms;
+  bool trans = false;
+
+  TermOperand(int count, bool transposed, index_t rows, index_t cols, bool unit,
+              Rng& rng)
+      : trans(transposed) {
+    for (int t = 0; t < count; ++t) {
+      stored.emplace_back(trans ? cols : rows, trans ? rows : cols);
+      fill_random_uniform<T>(stored.back().view(), rng);
+    }
+    // ±1 as in exact rules; λ-scaled (λ, -1/λ, λ², ...) as in APA rules.
+    const T lambda = static_cast<T>(0.0173);
+    for (int t = 0; t < count; ++t) {
+      const T sign = (t % 2 == 0) ? T{1} : T{-1};
+      T coeff = sign;
+      if (!unit) coeff = (t % 2 == 0) ? sign * lambda * static_cast<T>(t + 1) : sign / lambda;
+      terms.push_back({coeff, stored[static_cast<std::size_t>(t)].view().as_const()});
+    }
+  }
+
+  [[nodiscard]] Matrix<T> logical() const {
+    const MatrixView<const T>& first = terms[0].view;
+    Matrix<T> out(trans ? first.cols : first.rows, trans ? first.rows : first.cols);
+    if (trans) {
+      linear_combination_transposed<T>(terms, out.view());
+    } else {
+      linear_combination<T>(terms, out.view());
+    }
+    return out;
+  }
+  [[nodiscard]] Trans flag() const { return trans ? Trans::kYes : Trans::kNo; }
+};
+
+/// gemm over multi-term operands (combined inside the packs, and with op(B)
+/// prepacked from its terms) must equal materializing both combinations and
+/// multiplying the plain results, bit for bit.
+template <class T>
+void expect_terms_bit_identical(int count, bool ta, bool tb, index_t m, index_t n,
+                                index_t k, bool unit, int threads) {
+  Rng rng(static_cast<std::uint64_t>(count * 1009 + m * 31 + n * 7 + k + 2 * ta + tb));
+  const TermOperand<T> a(count, ta, m, k, unit, rng);
+  const TermOperand<T> b(count, tb, k, n, unit, rng);
+  const Matrix<T> a_plain = a.logical(), b_plain = b.logical();
+  Matrix<T> expected(m, n), fused(m, n), prepacked(m, n);
+  gemm_planned<T>(Trans::kNo, a_plain.view(), nullptr, Trans::kNo, b_plain.view(), nullptr,
+                  expected.view(), T{1}, T{0}, {}, threads);
+  gemm_planned<T>(a.flag(), a.terms, nullptr, b.flag(), b.terms, nullptr, fused.view(),
+                  T{1}, T{0}, {}, threads);
+  const PackedPanel<T> pb = PackedPanel<T>::pack_b(tb, b.terms, threads);
+  gemm_planned<T>(a.flag(), a.terms, nullptr, b.flag(), b.terms, &pb, prepacked.view(),
+                  T{1}, T{0}, {}, threads);
+  const std::size_t bytes = static_cast<std::size_t>(m * n) * sizeof(T);
+  const auto where = [&] {
+    return ::testing::Message() << count << " terms, unit=" << unit << " ta=" << ta
+                                << " tb=" << tb << " " << m << "x" << n << "x" << k
+                                << " threads=" << threads;
+  };
+  EXPECT_EQ(std::memcmp(fused.data(), expected.data(), bytes), 0) << where();
+  EXPECT_EQ(std::memcmp(prepacked.data(), expected.data(), bytes), 0) << where();
+}
+
+TEST(MultiTermGemm, BitIdenticalToMaterializedCombination) {
+  using Block = detail::BlockShape<float>;
+  struct Shape {
+    index_t m, n, k;
+  };
+  // mr/nr tails with a k tail past one kc block; then an mc tail (two A
+  // blocks) with an nc tail (two B blocks along n).
+  for (const Shape shape : {Shape{kMr + 1, kNr + 3, Block::kKc + 5},
+                            Shape{Block::kMc + 7, Block::kNc + kNr + 5, 37}}) {
+    for (const int count : {1, 2, 3, 4, 6}) {
+      for (const bool unit : {true, false}) {
+        for (const bool ta : {false, true}) {
+          for (const bool tb : {false, true}) {
+            for (const int threads : {1, 2}) {
+              expect_terms_bit_identical<float>(count, ta, tb, shape.m, shape.n, shape.k,
+                                                unit, threads);
+            }
+          }
+        }
+      }
+    }
+  }
+  expect_terms_bit_identical<double>(3, true, false, 31, 53, 270, false, 2);
+}
+
+TEST(MultiTermGemm, TermsOfDifferentShapesAreRejected) {
+  Matrix<float> x(8, 8), y(8, 4), b(8, 8), c(8, 8);
+  x.set_zero();
+  y.set_zero();
+  b.set_zero();
+  const std::vector<Scaled<float>> a_terms = {{1.0f, x.view().as_const()},
+                                              {-1.0f, y.view().as_const()}};
+  const std::vector<Scaled<float>> b_terms = {{1.0f, b.view().as_const()}};
+  EXPECT_THROW(gemm_planned<float>(Trans::kNo, a_terms, nullptr, Trans::kNo, b_terms,
+                                   nullptr, c.view()),
+               ApaError);
+  EXPECT_THROW((void)PackedPanel<float>::pack_b(false, a_terms), ApaError);
 }
 
 }  // namespace

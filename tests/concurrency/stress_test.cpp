@@ -5,7 +5,8 @@
 // tsan.supp) can observe the interleavings: read-shared packed panels across
 // concurrent planned gemms, the team-shared pack buffers inside one parallel
 // gemm, the executor's hybrid q+remainder schedule (one band and row-banded),
-// concurrent inference on one trained MLP, BufferPool lease churn, and the obs
+// short products whose gemms pack their combinations from shared source
+// blocks, concurrent inference on one trained MLP, BufferPool lease churn, and the obs
 // layer's single-producer trace rings and interning registries.
 // The assertions double as correctness checks in regular builds, so the suite
 // is cheap enough to stay in tier-1. Under TSan run one test per process, as
@@ -191,6 +192,38 @@ TEST_F(ConcurrencyTest, HybridAndBfsExecutorSchedulesUnderFullTeam) {
                   1e-2)
             << algo << "/" << core::to_string(strategy) << " m=" << shape.m;
       }
+    }
+  }
+}
+
+TEST_F(ConcurrencyTest, ShortProductsPackSharedSourceBlocksConcurrently) {
+  // A short bottom level (bm <= 2 * kMc) hands each product's A and B
+  // combinations to its gemm, whose packs read the source blocks in place:
+  // under BFS and hybrid the concurrent products' packs read the same input
+  // blocks, and bini322's remainder wave packs each block with the whole team,
+  // split by rows. 60 x 32 x 128 (about 500 kFLOP) keeps each run inside
+  // TSan's history window (see above). The sequential schedule is the
+  // bit-exact reference.
+  constexpr int kTeam = 4;
+  Rng rng(44);
+  Matrix<float> a(60, 32), b(32, 128), expected(60, 128), c(60, 128);
+  fill_random_uniform<float>(a.view(), rng);
+  fill_random_uniform<float>(b.view(), rng);
+  for (const char* algo : {"bini322", "fast442"}) {
+    const core::Rule& rule = core::rule_by_name(algo);
+    core::ExecOptions options;
+    options.steps = 1;
+    core::multiply<float>(rule, a.view().as_const(), b.view().as_const(),
+                          expected.view(), options);
+    for (const core::Strategy strategy :
+         {core::Strategy::kHybrid, core::Strategy::kBfs}) {
+      options.strategy = strategy;
+      options.num_threads = kTeam;
+      c.set_zero();
+      core::multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(),
+                            options);
+      EXPECT_EQ(max_abs_diff(c.view(), expected.view()), 0.0)
+          << algo << "/" << core::to_string(strategy);
     }
   }
 }

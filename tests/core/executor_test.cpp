@@ -17,6 +17,7 @@
 #include "core/catalog.h"
 #include "core/params.h"
 #include "core/registry.h"
+#include "obs/metrics.h"
 #include "support/pool.h"
 #include "support/rng.h"
 
@@ -564,6 +565,82 @@ TEST_P(ExecutorBands, BitIdenticalToStackedSchedule) {
 INSTANTIATE_TEST_SUITE_P(Rules, ExecutorBands,
                          ::testing::Values("strassen", "bini322", "fast442"));
 
+/// Every strategy, thread count and transpose pair of one multiply against the
+/// stacked reference, bit for bit.
+void expect_all_schedules_match_stacked(const EvaluatedRule& rule, const std::string& name,
+                                        index_t m, index_t k, index_t n) {
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      Rng rng(static_cast<std::uint64_t>(m * 7 + k + 2 * ta + tb));
+      Matrix<float> a(ta ? k : m, ta ? m : k), b(tb ? n : k, tb ? k : n);
+      fill_random_uniform<float>(a.view(), rng);
+      fill_random_uniform<float>(b.view(), rng);
+      Matrix<float> expected(m, n);
+      stacked_reference(rule, {a.view().as_const(), ta}, {b.view().as_const(), tb},
+                        expected.view());
+      for (const Strategy s :
+           {Strategy::kSequential, Strategy::kDfs, Strategy::kBfs, Strategy::kHybrid}) {
+        for (const int threads : {1, 4}) {
+          Matrix<float> c(m, n);
+          multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1, s,
+                          threads, ta, tb);
+          EXPECT_EQ(std::memcmp(c.data(), expected.data(),
+                                static_cast<std::size_t>(m * n) * sizeof(float)),
+                    0)
+              << name << " m=" << m << " ta=" << ta << " tb=" << tb << " "
+              << to_string(s) << "/" << threads;
+        }
+      }
+    }
+  }
+}
+
+/// A short bottom level (bm <= 2*kMc) hands its A and B combinations to the
+/// gemm, which combines them inside its packs; bm = 2*kMc + 1 is the first
+/// height that still materializes them. At bk = 20 the two tallest heights
+/// also band (bk + kMc < bm), so the short level's banded B prepacks are
+/// covered too. One fringe row and three fringe columns are peeled.
+class ExecutorShortLevel : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ExecutorShortLevel, BitIdenticalToStackedSchedule) {
+  const EvaluatedRule rule = evaluated(GetParam());
+  for (const index_t bm :
+       {index_t{1}, kBandRows, kBandRows + 2, 2 * kBandRows, 2 * kBandRows + 1}) {
+    expect_all_schedules_match_stacked(rule, GetParam(), bm * rule.m + 1, 20 * rule.k,
+                                       40 * rule.n + 3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Rules, ExecutorShortLevel,
+                         ::testing::Values("strassen", "bini322", "fast442", "fast444"));
+
+/// How much `core.operand.<kind>` moves while `run` executes.
+template <class F>
+std::uint64_t operand_count(const char* kind, F&& run) {
+  const std::string name = std::string("core.operand.") + kind;
+  const std::uint64_t before = obs::counter_value(name);
+  run();
+  return obs::counter_value(name) - before;
+}
+
+TEST(ExecutorShortLevel, PacksCombinationsUpToTwoGemmBlocksTall) {
+  const EvaluatedRule rule = evaluated("fast442");
+  for (const index_t bm : {2 * kBandRows, 2 * kBandRows + 1}) {
+    const index_t m = bm * rule.m, k = 8 * rule.k, n = 8 * rule.n;
+    Rng rng(9);
+    Matrix<float> a(m, k), b(k, n), c(m, n);
+    fill_random_uniform<float>(a.view(), rng);
+    fill_random_uniform<float>(b.view(), rng);
+    const auto run = [&] {
+      multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1,
+                      Strategy::kSequential, 1);
+    };
+    const bool is_short = bm <= 2 * kBandRows;
+    EXPECT_EQ(operand_count("materialized", run) == 0, is_short) << "bm=" << bm;
+    EXPECT_GT(operand_count("packed", run), 0u) << "bm=" << bm;
+  }
+}
+
 /// Pool bytes leased at once while `run` executes, above what was leased before.
 template <class F>
 std::size_t workspace_bytes(F&& run) {
@@ -605,11 +682,13 @@ TEST(ExecutorWorkspace, OneBandShapeMatchesStackedSchedule) {
   // bk + h >= bm: the level keeps today's whole r x bm x bn stack, and its
   // leases (stack, then each product's temporaries and gemm pack buffers)
   // peak exactly where the stacked schedule's do. strassen aliases no input
-  // block twice, so no shared pack adds to either.
+  // block twice, so no shared pack adds to either. bm > 2 * kMc, so the level
+  // is not short and still materializes its combinations.
   const EvaluatedRule rule = evaluated("strassen");
-  const index_t m = 256, k = 64, n = 128;
+  const index_t m = 600, k = 400, n = 128;
   const index_t bm = m / rule.m, bk = k / rule.k, bn = n / rule.n;
   ASSERT_GE(bk + kBandRows, bm);
+  ASSERT_GT(bm, 2 * kBandRows);
   Rng rng(8);
   Matrix<float> a(m, k), b(k, n), c(m, n), expected(m, n);
   fill_random_uniform<float>(a.view(), rng);
@@ -624,6 +703,35 @@ TEST(ExecutorWorkspace, OneBandShapeMatchesStackedSchedule) {
   });
   EXPECT_EQ(used, reference);
   EXPECT_GE(used, static_cast<std::size_t>(rule.rank * bm * bn) * sizeof(float));
+}
+
+TEST(ExecutorWorkspace, ShortLevelLeasesNoCombinationTemporaries) {
+  // bm <= 2 * kMc: every product's gemm combines its A and B terms inside its
+  // own pack buffers, so the level leases the r x bm x bn stack plus one
+  // gemm's pack buffers and nothing else, where the stacked schedule adds
+  // each product's A and B temporaries.
+  const EvaluatedRule rule = evaluated("strassen");
+  const index_t m = 256, k = 64, n = 128;
+  const index_t bm = m / rule.m, bn = n / rule.n;
+  ASSERT_LE(bm, 2 * kBandRows);
+  Rng rng(8);
+  Matrix<float> a(m, k), b(k, n), c(m, n), expected(m, n);
+  fill_random_uniform<float>(a.view(), rng);
+  fill_random_uniform<float>(b.view(), rng);
+  const std::size_t reference = workspace_bytes([&] {
+    stacked_reference(rule, {a.view().as_const(), false}, {b.view().as_const(), false},
+                      expected.view());
+  });
+  const std::size_t used = workspace_bytes([&] {
+    multiply<float>(rule, a.view().as_const(), b.view().as_const(), c.view(), 1,
+                    Strategy::kSequential, 1);
+  });
+  using Block = blas::detail::BlockShape<float>;
+  const std::size_t gemm_buffers =
+      static_cast<std::size_t>(Block::kMc * Block::kKc + Block::kKc * Block::kNc);
+  EXPECT_EQ(used, (static_cast<std::size_t>(rule.rank * bm * bn) + gemm_buffers) *
+                      sizeof(float));
+  EXPECT_LT(used, reference);
 }
 
 }  // namespace
