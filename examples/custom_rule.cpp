@@ -1,15 +1,19 @@
 // Composing a custom algorithm from the library's building blocks: design a
 // rule for an odd shape, validate it, tune lambda empirically, execute it,
-// and emit specialized C++ — the full authoring workflow in one file.
+// and write it as a .rule file — the full authoring workflow in one file.
+// The file is the reviewable artifact: tools/rule_lint checks it, and the
+// executor runs it as data (core::read_rule_file), with no per-rule code.
 //
-//   ./custom_rule [--dims=6,3,4] [--dim=720]
+//   ./custom_rule [--dims=6,3,4] [--dim=720] [--out=custom.rule]
+//   ./rule_lint custom.rule
 
 #include <cstdio>
+#include <string>
 
-#include "core/codegen.h"
 #include "core/designer.h"
 #include "core/fastmm.h"
 #include "core/lambda_opt.h"
+#include "core/serialize.h"
 #include "support/cli.h"
 #include "support/rng.h"
 #include "support/timer.h"
@@ -69,13 +73,10 @@ int main(int argc, char** argv) {
               static_cast<long>(test_dim), classical_seconds, fast_seconds,
               100.0 * (classical_seconds / fast_seconds - 1.0));
 
-  // 4. Emit specialized C++ for deployment.
-  core::CodegenOptions codegen;
-  codegen.lambda = lambda_value;
-  codegen.function_name = "custom_multiply";
-  const std::string code = core::generate_cpp(rule, codegen);
-  std::printf("generated kernel: %zu bytes of C++ (pass --emit to print)\n",
-              code.size());
-  if (args.get_bool("emit")) std::printf("%s", code.c_str());
+  // 4. Write the rule as data for review (tools/rule_lint) and reuse.
+  if (const std::string out = args.get("out", ""); !out.empty()) {
+    core::write_rule_file(out, rule);
+    std::printf("wrote %s (lint it with rule_lint)\n", out.c_str());
+  }
   return 0;
 }

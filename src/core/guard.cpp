@@ -111,18 +111,6 @@ double ProductGuard::model_error_bound(const AlgorithmParams& params,
   return params.predicted_error(precision_bits, std::max(1, steps));
 }
 
-double ProductGuard::error_bound_for_lambda(const AlgorithmParams& params,
-                                            double lambda, int precision_bits,
-                                            int steps) {
-  APA_CHECK_MSG(lambda > 0.0, "lambda must be positive");
-  if (params.exact || params.sigma == 0) return std::exp2(-precision_bits);
-  const double approx = std::pow(lambda, params.sigma);
-  const double roundoff =
-      std::exp2(-precision_bits) *
-      std::pow(lambda, -static_cast<double>(std::max(1, steps)) * params.phi);
-  return approx + roundoff;
-}
-
 bool ProductGuard::all_finite(MatrixView<const float> c) {
   for (index_t i = 0; i < c.rows; ++i) {
     const float* row = c.data + i * c.ld;

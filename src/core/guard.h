@@ -58,13 +58,6 @@ class ProductGuard {
   [[nodiscard]] static double model_error_bound(const AlgorithmParams& params,
                                                 int precision_bits, int steps);
 
-  /// Error bound of the sigma/phi model at an explicit lambda:
-  /// lambda^sigma + 2^-d * lambda^-(steps*phi). Exposed for diagnostics and
-  /// for callers that intentionally run off-optimal lambdas.
-  [[nodiscard]] static double error_bound_for_lambda(const AlgorithmParams& params,
-                                                     double lambda,
-                                                     int precision_bits, int steps);
-
   /// Verify C ≈ op(A)·op(B) where op transposes the stored row-major matrix.
   /// Never modifies operands; draws probe signs from `rng`.
   [[nodiscard]] GuardReport verify(MatrixView<const float> a,

@@ -206,23 +206,22 @@ Rule tensor_product(const Rule& outer, const Rule& inner) {
   return out;
 }
 
+bool orientation_fits(index_t rule_m, index_t rule_k, index_t rule_n,
+                      index_t problem_m, index_t problem_k, index_t problem_n) {
+  const index_t problem[3] = {problem_m, problem_k, problem_n};
+  int order[3] = {0, 1, 2};  // problem dims by descending size
+  std::stable_sort(order, order + 3,
+                   [&](int a, int b) { return problem[a] > problem[b]; });
+  const index_t dims[3] = {rule_m, rule_k, rule_n};
+  return dims[order[0]] >= dims[order[1]] && dims[order[1]] >= dims[order[2]];
+}
+
 Rule orient_rule(const Rule& rule, index_t problem_m, index_t problem_k,
                  index_t problem_n) {
-  // Rank-order of the problem dims (stable: ties keep m < k < n order).
-  const index_t problem[3] = {problem_m, problem_k, problem_n};
-  int problem_order[3] = {0, 1, 2};  // indices sorted by descending size
-  std::stable_sort(problem_order, problem_order + 3,
-                   [&](int a, int b) { return problem[a] > problem[b]; });
-
-  // Among the 6 permutations of the rule, pick one whose dims, read in the
-  // problem's descending-dim positions, are non-increasing — i.e. the rule's
-  // largest factor lands on the problem's largest dimension. Tie-break by the
-  // lowest permutation id for determinism.
   for (int perm = 0; perm < 6; ++perm) {
-    const Rule candidate = permute_rule(rule, perm);
-    const index_t dims[3] = {candidate.m, candidate.k, candidate.n};
-    if (dims[problem_order[0]] >= dims[problem_order[1]] &&
-        dims[problem_order[1]] >= dims[problem_order[2]]) {
+    Rule candidate = permute_rule(rule, perm);
+    if (orientation_fits(candidate.m, candidate.k, candidate.n, problem_m,
+                         problem_k, problem_n)) {
       return candidate;
     }
   }

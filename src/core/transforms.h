@@ -34,11 +34,20 @@ namespace apa::core {
 /// rank r1*r2. Laurent degrees add, so phi grows additively (section 2.3).
 [[nodiscard]] Rule tensor_product(const Rule& outer, const Rule& inner);
 
-/// Orientation matching (paper section 6): permutes `rule` so its dimensions'
-/// rank order matches the problem's — the largest rule dimension splits the
-/// largest problem dimension. E.g. <4,4,2> applied to dW = x^T dy in VGG-19
-/// (25088 x batch x 4096) puts the 2 on the small batch dimension instead of
-/// shattering it. Deterministic for ties.
+/// Orientation matching (paper section 6): true when a <rule_m,rule_k,rule_n>
+/// rule's dimensions, read in the problem's descending-dimension order
+/// (stable: ties keep m < k < n), are non-increasing — the largest rule
+/// dimension splits the largest problem dimension. E.g. <4,4,2> applied to
+/// dW = x^T dy in VGG-19 (25088 x batch x 4096) fits only with the 2 on the
+/// small batch dimension instead of shattering it. orient_rule and
+/// nn::MatmulBackend both take the first permutation (permute_rule order) that
+/// fits, so they agree on every shape.
+[[nodiscard]] bool orientation_fits(index_t rule_m, index_t rule_k, index_t rule_n,
+                                    index_t problem_m, index_t problem_k,
+                                    index_t problem_n);
+
+/// Permutes `rule` to the lowest-id permutation that orientation_fits the
+/// problem. Deterministic for ties.
 [[nodiscard]] Rule orient_rule(const Rule& rule, index_t problem_m, index_t problem_k,
                                index_t problem_n);
 

@@ -48,15 +48,9 @@ const core::FastMatmul* MatmulBackend::dispatch_for(index_t m, index_t k,
   if (orientations_.empty()) return nullptr;
   if (std::min({m, k, n}) < options_.min_dim_for_fast) return nullptr;
 
-  const index_t problem[3] = {m, k, n};
-  int order[3] = {0, 1, 2};
-  std::stable_sort(order, order + 3,
-                   [&](int a, int b) { return problem[a] > problem[b]; });
   for (const core::FastMatmul* mm : orientations_) {
-    const index_t dims[3] = {mm->params().m, mm->params().k, mm->params().n};
-    if (dims[order[0]] >= dims[order[1]] && dims[order[1]] >= dims[order[2]]) {
-      return mm;
-    }
+    const core::AlgorithmParams& p = mm->params();
+    if (core::orientation_fits(p.m, p.k, p.n, m, k, n)) return mm;
   }
   return orientations_.front();
 }

@@ -13,8 +13,10 @@ namespace apa::obs {
 struct HealthMonitor::Impl {
   using Key = std::tuple<std::string, long long, long long, long long>;
 
+  explicit Impl(const HealthOptions& opts) : options(opts) {}
+
+  const HealthOptions options;  // fixed at construction: read without mu
   mutable Mutex mu;
-  HealthOptions options APAMM_GUARDED_BY(mu);
   TelemetrySink* sink APAMM_GUARDED_BY(mu) = nullptr;
   std::map<Key, ShapeHealth> streams APAMM_GUARDED_BY(mu);
   std::uint64_t flagged APAMM_GUARDED_BY(mu) = 0;
@@ -41,10 +43,7 @@ struct HealthMonitor::Impl {
   }
 };
 
-HealthMonitor::HealthMonitor(HealthOptions options) : impl_(new Impl) {
-  MutexLock lock(impl_->mu);
-  impl_->options = options;
-}
+HealthMonitor::HealthMonitor(HealthOptions options) : impl_(new Impl(options)) {}
 
 HealthMonitor::~HealthMonitor() { delete impl_; }
 
@@ -121,11 +120,6 @@ void HealthMonitor::emit_all(const char* event) {
 void HealthMonitor::attach(TelemetrySink* sink) {
   MutexLock lock(impl_->mu);
   impl_->sink = sink;
-}
-
-void HealthMonitor::set_options(const HealthOptions& options) {
-  MutexLock lock(impl_->mu);
-  impl_->options = options;
 }
 
 void HealthMonitor::reset() {

@@ -80,7 +80,6 @@ class HealthMonitor {
 
   /// Telemetry sink for `health` records (nullptr detaches). Not owned.
   void attach(TelemetrySink* sink);
-  void set_options(const HealthOptions& options);
   void reset();
 
  private:

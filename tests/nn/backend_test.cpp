@@ -1,8 +1,12 @@
 #include "nn/backend.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "blas/gemm.h"
+#include "core/registry.h"
+#include "core/transforms.h"
 #include "support/rng.h"
 
 namespace apa::nn {
@@ -75,6 +79,34 @@ TEST(Backend, OrientationMatchesProblemAspect) {
   ASSERT_NE(fwd, nullptr);
   EXPECT_EQ(fwd->params().m, 2);
   EXPECT_EQ(fwd->params().k, 4);
+}
+
+TEST(Backend, DispatchOrientsLikeOrientRule) {
+  // dispatch_for and core::orient_rule share one predicate; pin that they pick
+  // the same orientation for every registry rule on every rank order of the
+  // problem dims, ties included. The sizes are VGG-19's batch, hidden width
+  // and flattened input, so the grid holds the head's fwd, dx and dW shapes.
+  BackendOptions options;
+  options.min_dim_for_fast = 1;
+  const index_t sizes[] = {64, 256, 4096, 25088};
+  for (const std::string& name : core::algorithm_names()) {
+    const MatmulBackend backend(name, options);
+    const core::Rule& rule = core::rule_by_name(name);
+    for (const index_t m : sizes) {
+      for (const index_t k : sizes) {
+        for (const index_t n : sizes) {
+          SCOPED_TRACE(name + " " + std::to_string(m) + "x" + std::to_string(k) +
+                       "x" + std::to_string(n));
+          const core::FastMatmul* mm = backend.dispatch_for(m, k, n);
+          ASSERT_NE(mm, nullptr);
+          const core::Rule oriented = core::orient_rule(rule, m, k, n);
+          EXPECT_EQ(mm->params().m, oriented.m);
+          EXPECT_EQ(mm->params().k, oriented.k);
+          EXPECT_EQ(mm->params().n, oriented.n);
+        }
+      }
+    }
+  }
 }
 
 TEST(Backend, OrientedResultStaysAccurate) {
